@@ -29,7 +29,7 @@ def run(workload, seed, seconds, trace):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args()
     for workload in WORKLOADS:
         plain = run(workload, args.seed, args.seconds, 0)

@@ -6,10 +6,14 @@ Run from the repository root:
 
 Workloads: classify_cold, scan_dense, algebra (see harness.py).
 
-``--trace 0`` runs whole rounds of the workload until ``--seconds`` have
-passed and reports the end-to-end metrics: per-operation
-median and tail, operations per second, accuracy digits, peak resident
-memory, and set-up time measured in fresh interpreters.
+``--trace 0`` runs whole rounds of the workload until ``--seconds`` of
+operations have passed and reports the end-to-end metrics: per-operation
+median (over rounds) and tail, operations per second, accuracy digits,
+peak resident memory, and set-up time measured in fresh interpreters
+started at even intervals during the run.  Times are reported at the
+reference host speed given by a calibration loop timed beside every
+operation and set-up (see harness.py); the wall times are printed under
+``wall``.
 
 ``--trace 1`` runs a fixed list of operations (harness.TRACE_OPS, so call
 counts repeat exactly; ``--seconds`` is not used), each once untraced and
@@ -26,12 +30,17 @@ object with the keys correct, attempted, failed and metrics.
 
 import os
 
-# One BLAS thread, set before numpy loads; the set-up probes inherit it.
+# One BLAS thread, set before numpy loads, and one CPU: the host's cores
+# run at different speeds at the same moment, and the calibration loop,
+# the operations and the set-up probes must all see the same one.  The
+# set-up probes inherit both.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 
 import harness  # noqa: E402
@@ -41,15 +50,17 @@ OUT = harness.HERE / "out"
 
 
 def end_to_end(workload, engine, seed, seconds):
-    setup = harness.setup_seconds()
     harness.warm_up(engine)
     sample = harness.measure(workload, engine, harness.rounds(workload, engine, seed), seconds)
-    metrics = harness.end_to_end_metrics(sample, setup)
+    metrics = harness.end_to_end_metrics(sample)
     details = {
         "samples": len(sample.durations),
+        "rounds": len(sample.rounds),
+        "speed_factor_p50": harness.CALIBRATION_REF_S / statistics.median(sample.loop_s),
+        "wall": {k: v for k, (v, u) in harness.wall_metrics(sample).items() if u in ("s", "1/s")},
         "tail_percentile": harness.tail(sample.durations)[0],
         "timed_s": sample.elapsed_s,
-        "setup_samples_s": setup,
+        "setup_samples_s": sample.setup,
         "durations_s": sample.durations,
     }
     return metrics, sample.outcomes, details

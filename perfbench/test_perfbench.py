@@ -2,7 +2,9 @@
 
 import json
 import math
+import signal
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -87,7 +89,7 @@ def test_call_counts_repeat_exactly(operation):
 
 
 def test_gates_pass_on_reference_values():
-    ref = harness.REFERENCES["IV"]
+    ref = harness.reference("IV")
     result = SimpleNamespace(
         minimal_t=ref.minimal_t,
         biharmonic_t=ref.biharmonic_t,
@@ -101,7 +103,7 @@ def test_gates_pass_on_reference_values():
 
 
 def test_gates_report_failure_for_wrong_reference():
-    ref = harness.REFERENCES["II"]
+    ref = harness.reference("II")
     result = SimpleNamespace(
         minimal_t=ref.minimal_t,
         biharmonic_t=ref.biharmonic_t,
@@ -127,8 +129,10 @@ def test_gates_report_failure_for_wrong_reference():
     assert not harness.gate_spectrum(engine_curvatures, merged).ok
 
     checks = engine.verify.run_all(0)
-    broken = checks[:-1] + [checks[-1].__class__(checks[-1].name, False, "")]
+    broken = checks[:-1] + [checks[-1].__class__(checks[-1].name, False, checks[-1].detail)]
     assert not harness.gate_checks(broken).ok
+    silent = [check.__class__(check.name, True, "no numbers") for check in checks]
+    assert not harness.gate_checks(silent).ok
 
 
 def test_exceptions_count_as_failed_operations():
@@ -138,8 +142,12 @@ def test_exceptions_count_as_failed_operations():
 
 def test_metric_names_match_benchmark_json():
     declared = json.loads((harness.ROOT / "BENCHMARK.json").read_text())
-    sample = harness.Sample([0.1, 0.2, 0.3], [harness.Outcome(True, 1e-12)] * 3, 0.6)
-    e2e = harness.end_to_end_metrics(sample, [0.2])
+    sample = harness.Sample(
+        [0.1, 0.2, 0.3], [harness.Outcome(True, 1e-12)] * 3, 0.6,
+        rounds=[3], loop_s=[harness.CALIBRATION_REF_S] * 3,
+        setup=[0.2], setup_loop_s=[harness.CALIBRATION_REF_S],
+    )
+    e2e = harness.end_to_end_metrics(sample)
     layers = harness.layer_metrics({}, roots=0, overhead_share=0.0)
     for section, emitted in (("end_to_end", e2e), ("per_layer", layers)):
         assert {m["name"]: m["unit"] for m in declared[section]} == {
@@ -149,7 +157,41 @@ def test_metric_names_match_benchmark_json():
 
 
 def test_tail_uses_highest_percentile_with_ten_samples_beyond():
-    assert harness.tail(list(range(1000)))[0] == 99.0
-    assert harness.tail(list(range(150)))[0] == 90.0
-    assert harness.tail(list(range(60)))[0] == 75.0
+    assert harness.tail(list(range(1000))) == (99.0, 989)
+    assert harness.tail(list(range(150))) == (pytest.approx(140 / 1.5), 139)
+    assert harness.tail(list(range(60, 0, -1))) == (pytest.approx(50 / 0.6), 50)
     assert harness.tail([1.0, 4.0, 2.0]) == (100.0, 4.0)
+
+
+def test_times_scale_with_the_calibration_loop_beside_them():
+    ref = harness.CALIBRATION_REF_S
+    sample = harness.Sample(
+        [0.1, 0.3, 0.2, 0.4], [harness.Outcome(True, 1e-12)] * 4, 1.0,
+        rounds=[2, 2], loop_s=[ref, 2 * ref, ref, 2 * ref],
+        setup=[0.2, 0.4, 0.3], setup_loop_s=[ref, 2 * ref, 3 * ref],
+    )
+    wall = harness.wall_metrics(sample)
+    assert wall["op_p50_s"][0] == pytest.approx(0.25)  # rounds of mean 0.2 and 0.3
+    scaled = harness.end_to_end_metrics(sample)
+    # Operations at reference speed: 0.1, 0.15, 0.2, 0.2.
+    assert scaled["op_p50_s"][0] == pytest.approx((0.125 + 0.2) / 2)
+    assert scaled["op_tail_s"][0] == pytest.approx(0.2)
+    assert scaled["ops_per_s"][0] == pytest.approx(4 / 0.65)
+    assert scaled["setup_s"][0] == pytest.approx(0.2)  # 0.2, 0.2 and 0.1
+    assert scaled["peak_rss_mb"] == wall["peak_rss_mb"]
+
+
+def test_sampler_interrupts_and_restores_the_timer():
+    previous = signal.getsignal(signal.SIGALRM)
+    sampler = harness.Sampler()
+    sampler.start()
+    try:
+        end = time.perf_counter() + 10 * harness.CALIBRATION_INTERVAL_S
+        while time.perf_counter() < end:
+            pass
+    finally:
+        sampler.stop()
+    assert len(sampler.samples) >= 3
+    assert 0 < sampler.busy_s < 10 * harness.CALIBRATION_INTERVAL_S
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is previous
