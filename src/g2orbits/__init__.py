@@ -35,7 +35,6 @@ from .triality import (
     NamedSubalgebra,
     SpinElement,
     alpha,
-    apply_triality,
     beta,
     f_basis,
     gamma,

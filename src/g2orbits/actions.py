@@ -1,0 +1,230 @@
+"""One record per action type: every fact that differs between II-V.
+
+An :class:`ActionRecord` holds the geometry that
+:func:`g2orbits.orbits.action_spec` builds (subalgebra names of the ambient
+algebra, H and K; V4 coefficients of the geodesic and section generators;
+the parameter range, its singular ends and the section ratio t = ratio * s),
+closed forms in t of the principal curvatures, the mean curvature H and
+|A|^2, the minimal parameter with its austere verdict, the proper biharmonic
+parameters, the orbit-reversing isometry of types III and IV, and the note
+on the tan^2 reading of the type V biharmonic parameters.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .linalg import expm, norm_g, zeta
+from .triality import (
+    SIGMA,
+    SpinElement,
+    is_automorphism,
+    named_subalgebra,
+    rp7_invariant,
+    spin_lift_exp,
+)
+
+_R6 = np.sqrt(6.0)
+_R2 = np.sqrt(2.0)
+_HALF_PI = np.pi / 2.0
+
+
+def _cot(t: float) -> float:
+    return np.cos(t) / np.sin(t)
+
+
+def _pair(x: float, mult: int) -> list[tuple[float, int]]:
+    """The curvatures (-3 sqrt2 x +/- sqrt(18 x^2 + 16)) / (4 sqrt6), each
+    of multiplicity ``mult``, that the SO(7) actions share."""
+    return [
+        ((-3 * _R2 * x + sgn * np.sqrt(18 * x * x + 16)) / (4 * _R6), mult)
+        for sgn in (1.0, -1.0)
+    ]
+
+
+def _spectrum_ii(t: float) -> list[tuple[float, int]]:
+    tn, ct = np.tan(t), _cot(t)
+    th, ch = np.tan(t / 2), _cot(t / 2)
+    ev = [(0.0, 3), (th / _R6, 1), (-ch / _R6, 1)]
+    for sgn in (1.0, -1.0):
+        ev.append(((2 * tn + sgn * np.sqrt(4 * tn * tn + 3)) / (2 * _R6), 2))
+        ev.append(((-2 * ct + sgn * np.sqrt(4 * ct * ct + 3)) / (2 * _R6), 2))
+    return ev
+
+
+def _norm_sq_ii(t: float) -> float:
+    th, ch = np.tan(t / 2), _cot(t / 2)
+    tn, ct = np.tan(t), _cot(t)
+    return (th * th + ch * ch) / 6.0 + (16 * tn * tn + 16 * ct * ct + 12) / 12.0
+
+
+def _norm_sq_iv(t: float) -> float:
+    c, tn = _cot(t / 2), np.tan(t / 2)
+    return 2.25 * (c * c + tn * tn) + 2.0
+
+
+def _norm_sq_v(t: float) -> float:
+    c, tn = _cot(t), np.tan(t)
+    return (90 * c * c + 18 * tn * tn + 48) / 24.0
+
+
+def _random_lifted_g2(rng) -> SpinElement:
+    g2 = named_subalgebra("g2")
+    coeffs = rng.normal(size=g2.dim)
+    gen = np.einsum("i,iab->ab", coeffs, g2.basis)
+    size = norm_g(gen)
+    if size > 0:
+        gen = gen / size
+    return spin_lift_exp(gen, float(rng.uniform(0.0, np.pi)))
+
+
+def _reflection_iii(spec, tol: float) -> bool:
+    """x -> g(pi) x^{-1}: g(pi) must be an octonion automorphism,
+    Ad(g(pi/2)) must fix the section generator (so the differential
+    negates the normal), and the RP7 level function must certify that the
+    map sends sampled orbit points into the same orbit."""
+    g_pi = expm(spec.geodesic_generator, np.pi)
+    if not is_automorphism(g_pi, tol):
+        return False
+    g_half = expm(spec.geodesic_generator, np.pi / 2.0)
+    z4 = zeta(4)
+    if np.abs(g_half @ z4 @ g_half.T - z4).max() > tol:
+        return False
+    rng = np.random.default_rng(20240611)
+    lifted_g_pi = spin_lift_exp(spec.geodesic_generator, np.pi)
+    for t in (0.35, 0.8, 1.25):
+        lifted_mid = spin_lift_exp(spec.geodesic_generator, t)
+        point = _random_lifted_g2(rng) @ lifted_mid @ _random_lifted_g2(rng)
+        image = lifted_g_pi @ point.inverse()
+        level = abs(np.cos(t))
+        if abs(rp7_invariant(point) - level) > tol:
+            return False
+        if abs(rp7_invariant(image) - level) > tol:
+            return False
+    return True
+
+
+def _reflection_iv(spec, tol: float) -> bool:
+    """x -> g(pi/2) sigma g(-pi/2) x sigma: the conjugated element must
+    commute with sigma, and sigma must negate the section generator under
+    conjugation."""
+    g_half = expm(spec.geodesic_generator, np.pi / 2.0)
+    conjugated = g_half @ SIGMA @ g_half.T
+    if np.abs(conjugated @ SIGMA - SIGMA @ conjugated).max() > tol:
+        return False
+    z4 = zeta(4)
+    return bool(np.abs(SIGMA @ z4 @ SIGMA + z4).max() <= tol)
+
+
+def _note_v(biharmonic: tuple[float, ...]) -> str:
+    targets = ((16 - np.sqrt(211.0)) / 3, (16 + np.sqrt(211.0)) / 3)
+    residuals = [abs(np.tan(r) ** 2 - target) for r, target in zip(biharmonic, targets)]
+    unsquared = [float(np.arctan(target)) for target in targets]
+    return (
+        "type V biharmonic parameters satisfy tan(t)^2 = (16 -/+ sqrt(211))/3 "
+        f"(residuals {residuals[0]:.2e}, {residuals[1]:.2e}); the unsquared "
+        f"reading tan(t) = (16 -/+ sqrt(211))/3 would give t = "
+        f"{unsquared[0]:.12f}, {unsquared[1]:.12f} and is inconsistent with "
+        "|shape|^2 = 10 there"
+    )
+
+
+@dataclass(frozen=True)
+class ActionRecord:
+    """Every per-type fact of one action (see the module docstring)."""
+
+    name: str
+    ambient: str  # subalgebra names, see triality.named_subalgebra
+    h: str
+    k: str
+    einstein_constant: float
+    geodesic: tuple[float, float, float]  # generator V4(lambda, mu, nu)
+    section: tuple[float, float, float]  # section generator V4(lambda, mu, nu)
+    t_range: tuple[float, float]
+    section_ratio: float
+    singular_ts: tuple[float, ...]
+    spectrum: Callable[[float], list[tuple[float, int]]]  # (value, multiplicity)
+    mean_curvature: Callable[[float], float]
+    norm_sq: Callable[[float], float]
+    minimal_t: float
+    austere: bool  # verdict at the minimal orbit
+    biharmonic_t: tuple[float, ...]
+    reflection: Callable[..., bool] | None = None  # (spec, tol) -> verdict
+    note: Callable[[tuple[float, ...]], str] | None = None  # biharmonic t -> note
+
+
+_R19 = np.sqrt(19.0)
+_R211 = np.sqrt(211.0)
+
+ACTIONS = {
+    record.name: record
+    for record in (
+        ActionRecord(
+            name="II", ambient="g2", h="so4_g2", k="su3", einstein_constant=8.0,
+            geodesic=(1, -1, 0), section=(2, -1, -1),
+            t_range=(0.0, _HALF_PI), section_ratio=2.0, singular_ts=(0.0, _HALF_PI),
+            spectrum=_spectrum_ii,
+            mean_curvature=lambda t: (4 * np.tan(t) - 6 * _cot(t)) / _R6,
+            norm_sq=_norm_sq_ii,
+            minimal_t=float(np.arctan(np.sqrt(1.5))),
+            austere=False,
+            biharmonic_t=(
+                float(np.arctan(np.sqrt((5 - _R19) / 2))),
+                float(np.arctan(np.sqrt((5 + _R19) / 2))),
+            ),
+        ),
+        ActionRecord(
+            name="III", ambient="so7", h="g2", k="g2", einstein_constant=10.0,
+            geodesic=(1, 0, 1), section=(1, 1, 1),
+            t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0,),
+            spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 6),
+            mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
+            norm_sq=lambda t: 4.5 * _cot(t) * _cot(t) + 2.0,
+            minimal_t=float(np.pi / 2),
+            austere=True,
+            biharmonic_t=(float(np.arctan(3.0 / 4.0)),),  # arccot(4/3)
+            reflection=_reflection_iii,
+        ),
+        ActionRecord(
+            name="IV", ambient="so7", h="so3_so4", k="g2", einstein_constant=10.0,
+            geodesic=(1, 0, 0), section=(1, 1, 1),
+            t_range=(0.0, np.pi), section_ratio=3.0, singular_ts=(0.0, np.pi),
+            spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t / 2), 3) + _pair(-np.tan(t / 2), 3),
+            mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
+            norm_sq=_norm_sq_iv,
+            minimal_t=float(np.pi / 2),
+            austere=True,
+            biharmonic_t=(  # arccot(sqrt(14)/6) and its mirror
+                float(np.arctan(6.0 / np.sqrt(14.0))),
+                float(np.pi - np.arctan(6.0 / np.sqrt(14.0))),
+            ),
+            reflection=_reflection_iv,
+        ),
+        ActionRecord(
+            name="V", ambient="so7", h="u3", k="g2", einstein_constant=10.0,
+            geodesic=(0, 1, 1), section=(1, 1, 1),
+            t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0, _HALF_PI),
+            spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 5) + _pair(-np.tan(t), 1),
+            mean_curvature=lambda t: -np.sqrt(3.0) * (_cot(2 * t) + 2 * _cot(t)),
+            norm_sq=_norm_sq_v,
+            minimal_t=float(np.arctan(np.sqrt(5.0))),
+            austere=False,
+            biharmonic_t=(
+                float(np.arctan(np.sqrt((16 - _R211) / 3))),
+                float(np.arctan(np.sqrt((16 + _R211) / 3))),
+            ),
+            note=_note_v,
+        ),
+    )
+}
+
+
+def action_record(action_type: str) -> ActionRecord:
+    """The record of one of the action types II, III, IV, V."""
+    try:
+        return ACTIONS[action_type]
+    except KeyError:
+        raise ValueError(f"unknown action type {action_type!r}") from None

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .actions import ACTIONS, action_record
 from .orbits import (
     ActionSpec,
     action_spec,
@@ -30,9 +31,6 @@ from .orbits import (
     shape_norm_sq,
     spectrum_report,
 )
-
-_R6 = np.sqrt(6.0)
-_R2 = np.sqrt(2.0)
 
 
 class NoRootError(RuntimeError):
@@ -46,10 +44,6 @@ class StructuralMismatchError(ValueError):
         super().__init__(message)
         self.engine = engine
         self.reference = reference
-
-
-def _cot(t: float) -> float:
-    return np.cos(t) / np.sin(t)
 
 
 def principal_interval(spec: ActionSpec, clip: float = 1e-4) -> tuple[float, float]:
@@ -76,112 +70,32 @@ def _check_in_range(action_type: str, t: float):
 def closed_form_spectrum(action_type: str, t: float) -> list[tuple[float, int]]:
     """Principal curvatures with multiplicities, sorted ascending."""
     _check_in_range(action_type, t)
-    if action_type == "II":
-        tn, ct = np.tan(t), _cot(t)
-        th, ch = np.tan(t / 2), _cot(t / 2)
-        ev = [(0.0, 3), (th / _R6, 1), (-ch / _R6, 1)]
-        for sgn in (1.0, -1.0):
-            ev.append(((2 * tn + sgn * np.sqrt(4 * tn * tn + 3)) / (2 * _R6), 2))
-            ev.append(((-2 * ct + sgn * np.sqrt(4 * ct * ct + 3)) / (2 * _R6), 2))
-        return sorted(ev)
-    if action_type == "III":
-        c = _cot(t)
-        root = np.sqrt(18 * c * c + 16)
-        return sorted(
-            [
-                (0.0, 8),
-                ((-3 * _R2 * c + root) / (4 * _R6), 6),
-                ((-3 * _R2 * c - root) / (4 * _R6), 6),
-            ]
-        )
-    if action_type == "IV":
-        c, tn = _cot(t / 2), np.tan(t / 2)
-        ev = [(0.0, 8)]
-        for sgn in (1.0, -1.0):
-            ev.append(((-3 * _R2 * c + sgn * np.sqrt(18 * c * c + 16)) / (4 * _R6), 3))
-            ev.append(((3 * _R2 * tn + sgn * np.sqrt(18 * tn * tn + 16)) / (4 * _R6), 3))
-        return sorted(ev)
-    if action_type == "V":
-        c, tn = _cot(t), np.tan(t)
-        ev = [(0.0, 8)]
-        for sgn in (1.0, -1.0):
-            ev.append(((-3 * _R2 * c + sgn * np.sqrt(18 * c * c + 16)) / (4 * _R6), 5))
-            ev.append(((3 * _R2 * tn + sgn * np.sqrt(18 * tn * tn + 16)) / (4 * _R6), 1))
-        return sorted(ev)
-    raise ValueError(f"unknown action type {action_type!r}")
+    return sorted(action_record(action_type).spectrum(t))
 
 
 def mean_curvature_closed_form(action_type: str, t: float) -> float:
     """Trace of the shape operator from the closed-form tables."""
-    if action_type == "II":
-        return (4 * np.tan(t) - 6 * _cot(t)) / _R6
-    if action_type in ("III", "IV"):
-        return -3 * np.sqrt(3.0) * _cot(t)
-    if action_type == "V":
-        return -np.sqrt(3.0) * (_cot(2 * t) + 2 * _cot(t))
-    raise ValueError(f"unknown action type {action_type!r}")
+    return action_record(action_type).mean_curvature(t)
 
 
 def shape_norm_sq_closed_form(action_type: str, t: float) -> float:
     """Sum of squared principal curvatures from the closed-form tables."""
-    if action_type == "II":
-        th, ch = np.tan(t / 2), _cot(t / 2)
-        tn, ct = np.tan(t), _cot(t)
-        return (th * th + ch * ch) / 6.0 + (16 * tn * tn + 16 * ct * ct + 12) / 12.0
-    if action_type == "III":
-        c = _cot(t)
-        return 4.5 * c * c + 2.0
-    if action_type == "IV":
-        c, tn = _cot(t / 2), np.tan(t / 2)
-        return 2.25 * (c * c + tn * tn) + 2.0
-    if action_type == "V":
-        c, tn = _cot(t), np.tan(t)
-        return (90 * c * c + 18 * tn * tn + 48) / 24.0
-    raise ValueError(f"unknown action type {action_type!r}")
+    return action_record(action_type).norm_sq(t)
 
 
 #: Expected multiplicity multisets of the principal-orbit spectra.
 EXPECTED_MULTIPLICITIES = {
-    "II": (3, 1, 1, 2, 2, 2, 2),
-    "III": (8, 6, 6),
-    "IV": (8, 3, 3, 3, 3),
-    "V": (8, 5, 5, 1, 1),
+    ty: tuple(m for _, m in r.spectrum(r.minimal_t)) for ty, r in ACTIONS.items()
 }
 
 #: Closed-form parameters of the minimal principal orbit.
-REFERENCE_MINIMAL_T = {
-    "II": float(np.arctan(np.sqrt(1.5))),
-    "III": float(np.pi / 2),
-    "IV": float(np.pi / 2),
-    "V": float(np.arctan(np.sqrt(5.0))),
-}
+REFERENCE_MINIMAL_T = {ty: r.minimal_t for ty, r in ACTIONS.items()}
 
 #: Austere verdicts for the minimal principal orbits.
-REFERENCE_AUSTERE = {"II": False, "III": True, "IV": True, "V": False}
+REFERENCE_AUSTERE = {ty: r.austere for ty, r in ACTIONS.items()}
 
-
-def _reference_biharmonic(action_type: str) -> tuple[float, ...]:
-    r19 = np.sqrt(19.0)
-    r211 = np.sqrt(211.0)
-    table = {
-        "II": (
-            np.arctan(np.sqrt((5 - r19) / 2)),
-            np.arctan(np.sqrt((5 + r19) / 2)),
-        ),
-        "III": (np.arctan(3.0 / 4.0),),  # arccot(4/3)
-        "IV": (
-            np.arctan(6.0 / np.sqrt(14.0)),  # arccot(sqrt(14)/6)
-            np.pi - np.arctan(6.0 / np.sqrt(14.0)),
-        ),
-        "V": (
-            np.arctan(np.sqrt((16 - r211) / 3)),
-            np.arctan(np.sqrt((16 + r211) / 3)),
-        ),
-    }
-    return tuple(float(v) for v in table[action_type])
-
-
-REFERENCE_BIHARMONIC_T = {ty: _reference_biharmonic(ty) for ty in ("II", "III", "IV", "V")}
+#: Closed-form parameters of the proper biharmonic principal orbits.
+REFERENCE_BIHARMONIC_T = {ty: r.biharmonic_t for ty, r in ACTIONS.items()}
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
@@ -292,14 +206,15 @@ def classify_type(action_type: str) -> ClassificationResult:
         orbit_frame(spec, spec.t_range[1]).orbit_dim,
     )
 
+    record = action_record(action_type)
     notes: list[str] = []
-    ref_min = REFERENCE_MINIMAL_T[action_type]
+    ref_min = record.minimal_t
     if abs(minimal_t - ref_min) > 1e-6:
         notes.append(
             f"minimal parameter {minimal_t!r} deviates from the closed-form "
             f"value {ref_min!r}"
         )
-    ref_bi = REFERENCE_BIHARMONIC_T[action_type]
+    ref_bi = record.biharmonic_t
     if len(biharmonic) != len(ref_bi) or any(
         abs(a - b) > 1e-6 for a, b in zip(biharmonic, ref_bi)
     ):
@@ -307,19 +222,8 @@ def classify_type(action_type: str) -> ClassificationResult:
             f"biharmonic parameters {biharmonic!r} deviate from the "
             f"closed-form values {ref_bi!r}"
         )
-    if action_type == "V":
-        targets = ((16 - np.sqrt(211.0)) / 3, (16 + np.sqrt(211.0)) / 3)
-        residuals = [
-            abs(np.tan(r) ** 2 - target) for r, target in zip(biharmonic, targets)
-        ]
-        unsquared = [float(np.arctan(target)) for target in targets]
-        notes.append(
-            "type V biharmonic parameters satisfy tan(t)^2 = (16 -/+ sqrt(211))/3 "
-            f"(residuals {residuals[0]:.2e}, {residuals[1]:.2e}); the unsquared "
-            f"reading tan(t) = (16 -/+ sqrt(211))/3 would give t = "
-            f"{unsquared[0]:.12f}, {unsquared[1]:.12f} and is inconsistent with "
-            "|shape|^2 = 10 there"
-        )
+    if record.note is not None:
+        notes.append(record.note(biharmonic))
 
     return ClassificationResult(
         action_type=action_type,

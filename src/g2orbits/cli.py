@@ -1,10 +1,12 @@
 """Command line surface: verify-algebra, orbit, scan, classify, tables.
 
-Reports are printed as text, CSV (comma separated, header row, dot decimal
-separator, LF endings, floats at 17 significant digits so parsed values
-round-trip exactly) or JSON (one top-level object with ``meta`` and
-``rows``).  Exit status is 0 only when every check the subcommand performs
-passes.
+Each subcommand returns ``meta``, CSV columns and a list of dict rows, and
+:func:`render` prints them as text (a block of key / value lines per row),
+CSV (comma separated, header row, dot decimal separator, LF endings, floats
+at 17 significant digits so parsed values round-trip exactly) or JSON (one
+top-level object with ``meta`` and ``rows``).  Exit status is 0 only when
+every check the subcommand performs passes; input the engine cannot
+evaluate gives a one-line ``error:`` message and exit status 2.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 import numpy as np
 
-from . import __version__
-from . import verify
+from . import __version__, verify
 from .classify import (
     EXPECTED_MULTIPLICITIES,
     classify_type,
@@ -30,69 +32,60 @@ SPECTRUM_TOLERANCE = 1e-8
 PARAMETER_TOLERANCE = 1e-8
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value, sep: str = ";") -> str:
+    """One value as text: floats at 17 significant digits, lists joined by
+    ``sep``, and the [value, multiplicity] pairs inside them by " x "."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, list):
+        return sep.join(_cell(item, " x ") for item in value)
+    return str(value)
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def render(fmt: str, meta: dict, columns, rows: list[dict]) -> str:
+    """A report in ``fmt`` (text, csv or json).
+
+    ``columns`` is the CSV view of a row, a list of (header, function of the
+    row) pairs; text and JSON show every key of every row.
+    """
+    if fmt == "json":
+        return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(header for header, _ in columns)]
+        lines += [",".join(_cell(get(row)) for _, get in columns) for row in rows]
     else:
-        sys.stdout.write(text)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+        lines = [" ".join(f"{key}={value}" for key, value in meta.items())]
+        for row in rows:
+            lines += [""] + [f"  {key:<26}{_cell(value, ', ')}" for key, value in row.items()]
     return "\n".join(lines) + "\n"
 
 
-def _json_doc(meta: dict, rows: list[dict]) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+def _columns(*keys: str):
+    return [(key, itemgetter(key)) for key in keys]
 
 
 def _meta(command: str, **extra) -> dict:
-    meta = {"tool": "g2orbits", "version": __version__, "command": command}
-    meta.update(extra)
-    return meta
+    return {"tool": "g2orbits", "version": __version__, "command": command, **extra}
 
 
 def _resolve_t(args, spec) -> float:
     if (args.t is None) == (args.s is None):
         raise SystemExit("exactly one of --t / --s is required")
-    if args.t is not None:
-        return float(args.t)
-    return float(args.s) * spec.section_ratio
-
-
-def _closed_form_label(action_type: str) -> str:
-    return f"type {action_type} principal-curvature closed forms"
-
-
-def cmd_verify_algebra(args) -> int:
-    results = verify.run_all(seed=args.seed)
-    rows = [
-        {"check": r.name, "passed": r.passed, "detail": r.detail} for r in results
-    ]
-    if args.format == "json":
-        _emit(_json_doc(_meta("verify-algebra", seed=args.seed), rows), args.output)
-    elif args.format == "csv":
-        _emit(
-            _csv(["check", "passed", "detail"],
-                 [[r.name, str(r.passed), r.detail] for r in results]),
-            args.output,
+    t = float(args.t) if args.t is not None else float(args.s) * spec.section_ratio
+    lo, hi = spec.t_range
+    if not lo <= t <= hi:  # also rejects nan
+        raise ValueError(
+            f"t={t} is outside the parameter range [{lo}, {hi}] of type {spec.action_type}"
         )
-    else:
-        lines = [
-            f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
-            for r in results
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if all(r.passed for r in results) else 1
+    return t
+
+
+def cmd_verify_algebra(args):
+    rows = [
+        {"check": r.name, "passed": r.passed, "detail": r.detail}
+        for r in verify.run_all(seed=args.seed)
+    ]
+    return _meta("verify-algebra", seed=args.seed), _columns("check", "passed", "detail"), rows
 
 
 def _report_row(report) -> dict:
@@ -108,97 +101,38 @@ def _report_row(report) -> dict:
     }
 
 
-def _expanded(report) -> list[float]:
-    out: list[float] = []
-    for v, m in report.curvatures:
-        out.extend([v] * m)
-    return out
+def _spectra(args, spec, ts, **extra):
+    """One row per spectrum report at the parameters ``ts``; the CSV columns
+    pcNN hold the principal curvatures, each repeated by its multiplicity."""
+    reports = [spectrum_report(spec, float(t), cluster_tol=args.cluster_tol) for t in ts]
+    columns = _columns("t", "s", "dim", "mean_curvature", "norm_sq") + [
+        (f"pc{i + 1:02d}", lambda row, i=i: [v for v, m in row["curvatures"] for _ in range(m)][i])
+        for i in range(reports[0].orbit_dim)
+    ]
+    meta = _meta(args.command, action_type=args.type, **extra)
+    return meta, columns, [_report_row(r) for r in reports]
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args):
     spec = action_spec(args.type)
-    t = _resolve_t(args, spec)
-    report = spectrum_report(spec, t, cluster_tol=args.cluster_tol)
-    if args.format == "json":
-        _emit(
-            _json_doc(_meta("orbit", action_type=args.type), [_report_row(report)]),
-            args.output,
-        )
-    elif args.format == "csv":
-        header = ["t", "s", "dim", "mean_curvature", "norm_sq"] + [
-            f"pc{i + 1:02d}" for i in range(report.orbit_dim)
-        ]
-        row = [report.t, report.s, report.orbit_dim, report.mean_curvature,
-               report.norm_sq] + _expanded(report)
-        _emit(_csv(header, [row]), args.output)
-    else:
-        lines = [
-            f"action type {args.type}",
-            f"  t = {_fmt(report.t)}   s = {_fmt(report.s)}",
-            f"  orbit dimension  {report.orbit_dim}",
-            f"  mean curvature   {_fmt(report.mean_curvature)}",
-            f"  |shape|^2        {_fmt(report.norm_sq)}",
-            f"  austere          {report.austere}",
-            "  principal curvatures (value x multiplicity):",
-        ]
-        for v, m in report.curvatures:
-            lines.append(f"    {_fmt(v)} x {m}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _spectra(args, spec, [_resolve_t(args, spec)])
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     spec = action_spec(args.type)
     lo, hi = principal_interval(spec)
-    ts = np.linspace(lo, hi, args.samples)
-    reports = [spectrum_report(spec, float(t), cluster_tol=args.cluster_tol) for t in ts]
-    dim = reports[0].orbit_dim
-    if args.format == "json":
-        _emit(
-            _json_doc(
-                _meta("scan", action_type=args.type, samples=args.samples),
-                [_report_row(r) for r in reports],
-            ),
-            args.output,
-        )
-        return 0
-    header = ["t", "s", "dim", "mean_curvature", "norm_sq"] + [
-        f"pc{i + 1:02d}" for i in range(dim)
-    ]
-    rows = [
-        [r.t, r.s, r.orbit_dim, r.mean_curvature, r.norm_sq] + _expanded(r)
-        for r in reports
-    ]
-    if args.format == "csv":
-        _emit(_csv(header, rows), args.output)
-    else:
-        lines = ["  ".join(header)]
-        for row in rows:
-            lines.append("  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _spectra(args, spec, np.linspace(lo, hi, args.samples), samples=args.samples)
 
 
-def cmd_classify(args) -> int:
-    types = [args.type] if args.type else list(ACTION_TYPES)
+def cmd_classify(args):
     rows = []
-    failures = 0
-    for ty in types:
+    for ty in [args.type] if args.type else ACTION_TYPES:
         res = classify_type(ty)
         dev_min = abs(res.minimal_t - res.closed_form_minimal_t)
-        dev_bi = max(
-            (
-                abs(a - b)
-                for a, b in zip(res.biharmonic_t, res.closed_form_biharmonic_t)
-            ),
-            default=0.0,
-        )
-        ok = (
-            dev_min <= PARAMETER_TOLERANCE
-            and len(res.biharmonic_t) == len(res.closed_form_biharmonic_t)
-            and dev_bi <= PARAMETER_TOLERANCE
-        )
-        failures += 0 if ok else 1
+        pairs = zip(res.biharmonic_t, res.closed_form_biharmonic_t)
+        dev_bi = max((abs(a - b) for a, b in pairs), default=0.0)
         rows.append(
             {
                 "action_type": ty,
@@ -212,121 +146,48 @@ def cmd_classify(args) -> int:
                 "closed_form_biharmonic_t": list(res.closed_form_biharmonic_t),
                 "biharmonic_deviation": dev_bi,
                 "singular_dims": list(res.singular_dims),
-                "closed_form": _closed_form_label(ty),
+                "closed_form": f"type {ty} principal-curvature closed forms",
                 "notes": list(res.discrepancy_notes),
-                "passed": ok,
+                "passed": len(res.biharmonic_t) == len(res.closed_form_biharmonic_t)
+                and max(dev_min, dev_bi) <= PARAMETER_TOLERANCE,
             }
         )
-    if args.format == "json":
-        _emit(_json_doc(_meta("classify"), rows), args.output)
-    elif args.format == "csv":
-        header = [
-            "action_type", "minimal_t", "minimal_s", "closed_form_minimal_t",
-            "minimal_deviation", "minimal_austere", "biharmonic_t",
-            "closed_form_biharmonic_t", "biharmonic_deviation",
-            "singular_dim_lo", "singular_dim_hi", "passed",
-        ]
-        csv_rows = [
-            [
-                r["action_type"], r["minimal_t"], r["minimal_s"],
-                r["closed_form_minimal_t"], r["minimal_deviation"],
-                str(r["minimal_austere"]),
-                ";".join(_fmt(v) for v in r["biharmonic_t"]),
-                ";".join(_fmt(v) for v in r["closed_form_biharmonic_t"]),
-                r["biharmonic_deviation"], r["singular_dims"][0],
-                r["singular_dims"][1], str(r["passed"]),
-            ]
-            for r in rows
-        ]
-        _emit(_csv(header, csv_rows), args.output)
-    else:
-        lines = []
-        for r in rows:
-            lines.append(f"action type {r['action_type']}")
-            lines.append(
-                f"  minimal orbit        t = {_fmt(r['minimal_t'])}   "
-                f"s = {_fmt(r['minimal_s'])}"
-            )
-            lines.append(
-                f"  closed-form minimal  t = {_fmt(r['closed_form_minimal_t'])}   "
-                f"(deviation {r['minimal_deviation']:.2e})"
-            )
-            lines.append(f"  austere at minimal   {r['minimal_austere']}")
-            for bt, bs in zip(r["biharmonic_t"], r["biharmonic_s"]):
-                lines.append(
-                    f"  proper biharmonic    t = {_fmt(bt)}   s = {_fmt(bs)}"
-                )
-            lines.append(
-                "  closed-form biharmonic t = "
-                + ", ".join(_fmt(v) for v in r["closed_form_biharmonic_t"])
-                + f"   (deviation {r['biharmonic_deviation']:.2e})"
-            )
-            lines.append(
-                f"  singular orbit dims at range endpoints: {tuple(r['singular_dims'])}"
-            )
-            for note in r["notes"]:
-                lines.append(f"  note: {note}")
-            lines.append(f"  status: {'ok' if r['passed'] else 'FAILED'}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if failures == 0 else 1
+    columns = _columns(
+        "action_type", "minimal_t", "minimal_s", "closed_form_minimal_t",
+        "minimal_deviation", "minimal_austere", "biharmonic_t",
+        "closed_form_biharmonic_t", "biharmonic_deviation",
+    ) + [
+        ("singular_dim_lo", lambda row: row["singular_dims"][0]),
+        ("singular_dim_hi", lambda row: row["singular_dims"][1]),
+    ] + _columns("passed")
+    return _meta("classify"), columns, rows
 
 
-def cmd_tables(args) -> int:
-    types = [args.type] if args.type else list(ACTION_TYPES)
+def cmd_tables(args):
     rows = []
-    failures = 0
-    for ty in types:
+    for ty in [args.type] if args.type else ACTION_TYPES:
         spec = action_spec(ty)
         lo, hi = principal_interval(spec)
         for frac in (0.25, 0.5, 0.75):
             t = lo + frac * (hi - lo)
+            # compare_spectra raises on a multiplicity mismatch.
             deviation = compare_spectra(spec, t, tol=args.cluster_tol)
             report = spectrum_report(spec, t, cluster_tol=args.cluster_tol)
-            reference = closed_form_spectrum(ty, t)
-            ok = deviation <= SPECTRUM_TOLERANCE and [
-                m for _, m in report.curvatures
-            ] == [m for _, m in reference]
-            failures += 0 if ok else 1
             rows.append(
                 {
                     "action_type": ty,
                     "t": t,
                     "s": t / spec.section_ratio,
-                    "closed_form": _closed_form_label(ty),
+                    "closed_form": f"type {ty} principal-curvature closed forms",
                     "expected_multiplicities": list(EXPECTED_MULTIPLICITIES[ty]),
                     "computed": [[v, m] for v, m in report.curvatures],
-                    "reference": [[v, m] for v, m in reference],
+                    "reference": [[v, m] for v, m in closed_form_spectrum(ty, t)],
                     "max_deviation": deviation,
-                    "passed": ok,
+                    "passed": bool(deviation <= SPECTRUM_TOLERANCE),
                 }
             )
-    if args.format == "json":
-        _emit(_json_doc(_meta("tables"), rows), args.output)
-    elif args.format == "csv":
-        header = ["action_type", "t", "s", "max_deviation", "passed"]
-        _emit(
-            _csv(header, [
-                [r["action_type"], r["t"], r["s"], r["max_deviation"], str(r["passed"])]
-                for r in rows
-            ]),
-            args.output,
-        )
-    else:
-        lines = []
-        for r in rows:
-            lines.append(
-                f"type {r['action_type']}  t = {_fmt(r['t'])}  "
-                f"max deviation {r['max_deviation']:.3e}  "
-                f"{'ok' if r['passed'] else 'FAILED'}"
-            )
-            lines.append("    computed : " + ", ".join(
-                f"{_fmt(v)} x{m}" for v, m in r["computed"]
-            ))
-            lines.append("    reference: " + ", ".join(
-                f"{_fmt(v)} x{m}" for v, m in r["reference"]
-            ))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if failures == 0 else 1
+    columns = _columns("action_type", "t", "s", "max_deviation", "passed")
+    return _meta("tables"), columns, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,54 +197,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_type=True, type_required=False):
-        if with_type:
-            p.add_argument(
-                "--type", choices=ACTION_TYPES, required=type_required,
-                help="action type",
-            )
+    def command(name, func, help, type_required=None, cluster_tol=True):
+        p = sub.add_parser(name, help=help)
+        if type_required is not None:
+            p.add_argument("--type", choices=ACTION_TYPES, required=type_required,
+                           help="action type")
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--output", default=None, help="write the report to a file")
-        p.add_argument(
-            "--cluster-tol", dest="cluster_tol", type=float, default=1e-6,
-            help="eigenvalue clustering tolerance",
-        )
+        if cluster_tol:
+            p.add_argument("--cluster-tol", type=float, default=1e-6,
+                           help="eigenvalue clustering tolerance")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-algebra", help="run the algebra identity suites")
+    p = command("verify-algebra", cmd_verify_algebra, "run the algebra identity suites",
+                cluster_tol=False)
     p.add_argument("--seed", type=int, default=0)
-    common(p, with_type=False)
-    p.set_defaults(func=cmd_verify_algebra)
 
-    p = sub.add_parser("orbit", help="report one principal orbit")
-    common(p, type_required=True)
+    p = command("orbit", cmd_orbit, "report one principal orbit", type_required=True)
     p.add_argument("--t", type=float, default=None, help="geodesic parameter")
     p.add_argument("--s", type=float, default=None,
                    help="section parameter (t = section_ratio * s)")
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("scan", help="sweep the principal parameter range")
-    common(p, type_required=True)
+    p = command("scan", cmd_scan, "sweep the principal parameter range", type_required=True)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("classify", help="minimal / austere / biharmonic summary")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("tables", help="closed-form vs computed spectra")
-    common(p)
-    p.set_defaults(func=cmd_tables)
+    command("classify", cmd_classify, "minimal / austere / biharmonic summary",
+            type_required=False, cluster_tol=False)
+    command("tables", cmd_tables, "closed-form vs computed spectra", type_required=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+        meta, columns, rows = args.func(args)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = render(args.format, meta, columns, rows)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if all(row.get("passed", True) for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2, the matrix bracket, the
 invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential, pivoted
 Gram-Schmidt orthonormalization with numerical rank detection, orthogonal
-complements, and a cyclic Jacobi eigensolver with eigenvalue clustering.
+complements, and symmetric eigenvalues from LAPACK clustered into
+multiplicities.
 
 Everything operates on plain numpy arrays and is safe for concurrent use.
 """
@@ -97,15 +98,6 @@ ZETA_BRACKET_RULES = (
     ("zeta_first", 3, 7, (0, 0, -1)),
     ("zeta_second", 3, 7, (0, -1, 0)),
 )
-
-
-def v_bracket_coeffs(i: int, j: int, ci, cj):
-    """Predicted (k, coefficients) for [V_i(ci), V_j(cj)] per V_BRACKET_RULES."""
-    for a, b, k, terms in V_BRACKET_RULES:
-        if (a, b) == (i, j):
-            out = [sum(s * ci[p] * cj[q] for s, p, q in t) for t in terms]
-            return k, tuple(out)
-    raise ValueError(f"no bracket rule recorded for axes ({i}, {j})")
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,13 +205,6 @@ def span_coords(x: np.ndarray, sub: Subspace) -> np.ndarray:
     return np.einsum("ab,iba->i", x, sub.basis) * -0.5
 
 
-def span_project(x: np.ndarray, sub: Subspace) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto ``sub``."""
-    if sub.dim == 0:
-        return np.zeros_like(x)
-    return np.einsum("i,iab->ab", span_coords(x, sub), sub.basis)
-
-
 def complement(sub, ambient, tol: float = 1e-9) -> Subspace:
     """Orthogonal complement of ``sub`` inside ``ambient``.
 
@@ -250,10 +235,10 @@ def complement(sub, ambient, tol: float = 1e-9) -> Subspace:
 def sym_eigen(s: np.ndarray, cluster_tol: float = 1e-6) -> list[tuple[float, int]]:
     """Eigenvalues of a symmetric matrix, clustered with multiplicities.
 
-    Cyclic Jacobi rotations; convergence when the off-diagonal Frobenius
-    norm drops below 1e-12 relative to the input scale.  Eigenvalues are
-    sorted ascending and adjacent values within ``cluster_tol`` of each
-    other are merged into one (mean value, summed multiplicity).
+    The matrix must be symmetric up to 1e-9; its symmetric part goes to
+    LAPACK (``numpy.linalg.eigvalsh``), whose eigenvalues come sorted
+    ascending.  Adjacent values within ``cluster_tol`` of each other are
+    merged into one (mean value, summed multiplicity).
     """
     a = np.asarray(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -261,38 +246,8 @@ def sym_eigen(s: np.ndarray, cluster_tol: float = 1e-6) -> list[tuple[float, int
     defect = float(np.abs(a - a.T).max(initial=0.0))
     if defect > 1e-9:
         raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 0:
-        return []
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = 1e-12 * scale
-
-    for _ in range(60):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-30 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                tval = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if tval == 0.0:
-                    tval = 1.0  # theta == 0 means a 45 degree rotation
-                c = 1.0 / np.sqrt(tval * tval + 1.0)
-                sn = tval * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-    else:
-        raise ArithmeticError("Jacobi eigensolver failed to converge")
-
-    values = np.sort(np.diag(a))
+    values = np.linalg.eigvalsh(0.5 * (a + a.T))
+    n = len(values)
     clusters: list[tuple[float, int]] = []
     start = 0
     for idx in range(1, n + 1):

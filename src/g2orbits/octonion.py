@@ -108,7 +108,3 @@ def oct_norm(a) -> float:
     """|a| = sqrt((a, a))."""
     return float(np.linalg.norm(as_octonion(a)))
 
-
-def is_imaginary(a, tol: float = 0.0) -> bool:
-    """True when the e0 coefficient vanishes (within ``tol``)."""
-    return abs(as_octonion(a)[0]) <= tol

@@ -17,15 +17,9 @@ The value is independent of the lift choice (the second fundamental form
 is tensorial); lifts are produced by least squares over the h + k
 coefficient space and any exact solution is acceptable.
 
-The four action types:
-
-    II   SO(4) x SU(3) on G2,    geodesic generator V4(1,-1,0)
-    III  G2 x G2 on SO(7),       geodesic generator V4(1,0,1)
-    IV   (SO(3)xSO(4)) x G2 on SO(7), geodesic generator V4(1,0,0)
-    V    U(3) x G2 on SO(7),     geodesic generator V4(0,1,1)
-
-with unit normals V4(2,-1,-1)/sqrt(6) for II and V4(1,1,1)/sqrt(3) for
-III, IV, V at principal parameters, and section reparameterization
+The per-type data (groups, geodesic and section generators, parameter
+ranges) come from the records of :mod:`g2orbits.actions`; the unit normal
+at a principal parameter is oriented along the section generator, and
 t = section_ratio * s.
 """
 
@@ -36,28 +30,19 @@ from functools import lru_cache
 
 import numpy as np
 
+from .actions import ACTIONS, action_record
 from .linalg import (
     Subspace,
     complement,
     expm,
     inner_g,
-    norm_g,
     orthonormalize,
     sym_eigen,
     v_elem,
-    zeta,
 )
-from .triality import (
-    SIGMA,
-    NamedSubalgebra,
-    SpinElement,
-    is_automorphism,
-    named_subalgebra,
-    rp7_invariant,
-    spin_lift_exp,
-)
+from .triality import NamedSubalgebra, named_subalgebra
 
-ACTION_TYPES = ("II", "III", "IV", "V")
+ACTION_TYPES = tuple(ACTIONS)
 
 
 class SingularOrbitError(RuntimeError):
@@ -87,71 +72,24 @@ class ActionSpec:
 @lru_cache(maxsize=None)
 def action_spec(action_type: str) -> ActionSpec:
     """The configuration of one of the action types II, III, IV, V."""
-    half_pi = np.pi / 2.0
-    if action_type == "II":
-        return ActionSpec(
-            action_type="II",
-            ambient=named_subalgebra("g2"),
-            einstein_constant=8.0,
-            h=named_subalgebra("so4_g2"),
-            k=named_subalgebra("su3"),
-            geodesic_generator=v_elem(4, 1, -1, 0),
-            section_generator=v_elem(4, 2, -1, -1),
-            t_range=(0.0, half_pi),
-            section_ratio=2.0,
-            singular_ts=(0.0, half_pi),
-        )
-    if action_type == "III":
-        g2 = named_subalgebra("g2")
-        return ActionSpec(
-            action_type="III",
-            ambient=named_subalgebra("so7"),
-            einstein_constant=10.0,
-            h=g2,
-            k=g2,
-            geodesic_generator=v_elem(4, 1, 0, 1),
-            section_generator=zeta(4),
-            t_range=(0.0, half_pi),
-            section_ratio=1.5,
-            singular_ts=(0.0,),
-        )
-    if action_type == "IV":
-        return ActionSpec(
-            action_type="IV",
-            ambient=named_subalgebra("so7"),
-            einstein_constant=10.0,
-            h=named_subalgebra("so3_so4"),
-            k=named_subalgebra("g2"),
-            geodesic_generator=v_elem(4, 1, 0, 0),
-            section_generator=zeta(4),
-            t_range=(0.0, np.pi),
-            section_ratio=3.0,
-            singular_ts=(0.0, np.pi),
-        )
-    if action_type == "V":
-        return ActionSpec(
-            action_type="V",
-            ambient=named_subalgebra("so7"),
-            einstein_constant=10.0,
-            h=named_subalgebra("u3"),
-            k=named_subalgebra("g2"),
-            geodesic_generator=v_elem(4, 0, 1, 1),
-            section_generator=zeta(4),
-            t_range=(0.0, half_pi),
-            section_ratio=1.5,
-            singular_ts=(0.0, half_pi),
-        )
-    raise ValueError(f"unknown action type {action_type!r}")
+    record = action_record(action_type)
+    return ActionSpec(
+        action_type=record.name,
+        ambient=named_subalgebra(record.ambient),
+        einstein_constant=record.einstein_constant,
+        h=named_subalgebra(record.h),
+        k=named_subalgebra(record.k),
+        geodesic_generator=v_elem(4, *record.geodesic),
+        section_generator=v_elem(4, *record.section),
+        t_range=record.t_range,
+        section_ratio=record.section_ratio,
+        singular_ts=record.singular_ts,
+    )
 
 
 def group_element(spec: ActionSpec, t: float) -> np.ndarray:
     """The geodesic point g(t) = exp(t * geodesic generator)."""
     return expm(spec.geodesic_generator, t)
-
-
-def ad_inverse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ad(x)^{-1} Y = x^{-1} Y x for orthogonal x."""
-    return x.T @ y @ x
 
 
 @dataclass(frozen=True)
@@ -361,54 +299,15 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
     )
 
 
-def _random_lifted_g2(rng) -> SpinElement:
-    g2 = named_subalgebra("g2")
-    coeffs = rng.normal(size=g2.dim)
-    gen = np.einsum("i,iab->ab", coeffs, g2.basis)
-    size = norm_g(gen)
-    if size > 0:
-        gen = gen / size
-    return spin_lift_exp(gen, float(rng.uniform(0.0, np.pi)))
-
-
 def verify_reflection(spec: ActionSpec, tol: float = 1e-9) -> bool:
     """Check the explicit orbit-reversing isometry of types III and IV.
 
-    Type III uses x -> g(pi) x^{-1}: g(pi) must be an octonion
-    automorphism, Ad(g(pi/2)) must fix the section generator (so the
-    differential negates the normal), and the RP7 level function must
-    certify that the map sends sampled orbit points into the same orbit.
-    Type IV uses x -> g(pi/2) sigma g(-pi/2) x sigma: the conjugated
-    element must commute with sigma and sigma must negate the section
-    generator under conjugation.
+    The isometry and its certificate are part of the type's record; see
+    :mod:`g2orbits.actions`.
     """
-    if spec.action_type == "III":
-        g_pi = group_element(spec, np.pi)
-        if not is_automorphism(g_pi, tol):
-            return False
-        g_half = group_element(spec, np.pi / 2.0)
-        z4 = zeta(4)
-        if np.abs(g_half @ z4 @ g_half.T - z4).max() > tol:
-            return False
-        rng = np.random.default_rng(20240611)
-        lifted_g_pi = spin_lift_exp(spec.geodesic_generator, np.pi)
-        for t in (0.35, 0.8, 1.25):
-            lifted_mid = spin_lift_exp(spec.geodesic_generator, t)
-            point = _random_lifted_g2(rng) @ lifted_mid @ _random_lifted_g2(rng)
-            image = lifted_g_pi @ point.inverse()
-            level = abs(np.cos(t))
-            if abs(rp7_invariant(point) - level) > tol:
-                return False
-            if abs(rp7_invariant(image) - level) > tol:
-                return False
-        return True
-    if spec.action_type == "IV":
-        g_half = group_element(spec, np.pi / 2.0)
-        conjugated = g_half @ SIGMA @ g_half.T
-        if np.abs(conjugated @ SIGMA - SIGMA @ conjugated).max() > tol:
-            return False
-        z4 = zeta(4)
-        return bool(np.abs(SIGMA @ z4 @ SIGMA + z4).max() <= tol)
-    raise ValueError(
-        f"no reflection isometry is configured for action type {spec.action_type}"
-    )
+    check = action_record(spec.action_type).reflection
+    if check is None:
+        raise ValueError(
+            f"no reflection isometry is configured for action type {spec.action_type}"
+        )
+    return check(spec, tol)

@@ -105,18 +105,6 @@ def gamma(x: np.ndarray) -> np.ndarray:
     return beta(alpha(x))
 
 
-_TRIALITY_MAPS = {"alpha": alpha, "beta": beta, "gamma": gamma}
-
-
-def apply_triality(name: str, x: np.ndarray) -> np.ndarray:
-    """Apply one of the triality maps 'alpha', 'beta' or 'gamma'."""
-    try:
-        fn = _TRIALITY_MAPS[name]
-    except KeyError:
-        raise ValueError(f"unknown triality map {name!r}") from None
-    return fn(x)
-
-
 @dataclass(frozen=True)
 class NamedSubalgebra:
     """A bracket-closed subalgebra with an orthonormal basis."""

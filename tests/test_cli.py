@@ -1,22 +1,29 @@
 """Command line surface: argument handling, formats, round-trips."""
 
 import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from g2orbits import cli
 from g2orbits.cli import main
 from g2orbits.classify import principal_interval
 from g2orbits.orbits import action_spec, spectrum_report
+
+
+def _values(text: str, key: str) -> list[str]:
+    """The values of ``key`` in a text report, one per row."""
+    return re.findall(rf"^  {key} +(.*)$", text, re.M)
 
 
 class TestVerifyAlgebra:
     def test_exit_zero_and_pass_lines(self, capsys):
         assert main(["verify-algebra"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
-        assert "[FAIL]" not in out
+        assert _values(out, "passed") == ["True"] * 6
 
     def test_json_format(self, capsys):
         assert main(["verify-algebra", "--format", "json"]) == 0
@@ -42,8 +49,8 @@ class TestOrbit:
     def test_text_report(self, capsys):
         assert main(["orbit", "--type", "III", "--t", "1.0"]) == 0
         out = capsys.readouterr().out
-        assert "orbit dimension  20" in out
-        assert "principal curvatures" in out
+        assert _values(out, "dim") == ["20"]
+        assert re.fullmatch(r"(\S+ x \d+, )*\S+ x \d+", _values(out, "curvatures")[0])
 
     def test_singular_parameter_is_an_error(self, capsys):
         assert main(["orbit", "--type", "II", "--t", "0.0"]) == 2
@@ -52,6 +59,22 @@ class TestOrbit:
     def test_unknown_type_rejected(self):
         with pytest.raises(SystemExit):
             main(["orbit", "--type", "VII", "--t", "0.4"])
+
+    @pytest.mark.parametrize(
+        "args", [["--t", "inf"], ["--t", "nan"], ["--t", "3.0"], ["--s", "-0.1"]]
+    )
+    def test_parameter_outside_range_is_an_error(self, capsys, args):
+        assert main(["orbit", "--type", "II", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_arithmetic_error_is_an_error(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArithmeticError("complement dimension 14 != 14 - 14")
+
+        monkeypatch.setattr(cli, "spectrum_report", fail)
+        assert main(["orbit", "--type", "II", "--t", "0.4"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestScan:
@@ -87,6 +110,10 @@ class TestScan:
         assert len(doc["rows"]) == 4
         assert all(row["dim"] == 13 for row in doc["rows"])
 
+    def test_no_samples_is_an_error(self, capsys):
+        assert main(["scan", "--type", "II", "--samples", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestClassify:
     def test_type_iii_text(self, capsys):
@@ -96,7 +123,7 @@ class TestClassify:
         # compare on a 12-character prefix (roots are located to ~1e-12)
         assert format(np.pi / 3, ".17g")[:12] in out
         assert format((2 / 3) * np.arctan(3 / 4), ".17g")[:12] in out
-        assert "status: ok" in out
+        assert _values(out, "passed") == ["True"]
 
     def test_json_provenance_labels(self, capsys):
         assert main(["classify", "--type", "IV", "--format", "json"]) == 0
@@ -115,12 +142,30 @@ class TestClassify:
 class TestTables:
     def test_all_types_pass(self, capsys):
         assert main(["tables"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("ok") >= 12
-        assert "FAILED" not in out
+        assert _values(capsys.readouterr().out, "passed") == ["True"] * 12
 
     def test_csv(self, capsys):
         assert main(["tables", "--type", "II", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("action_type,")
         assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv", [["classify", "--type", "III"], ["tables", "--type", "II"]])
+def test_csv_fields_equal_json_values(capsys, argv):
+    assert main([*argv, "--format", "csv"]) == 0
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert main([*argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(table) == len(rows) > 0
+    for fields, row in zip(table, rows):
+        dims = row.get("singular_dims", [None, None])
+        row = dict(row, singular_dim_lo=dims[0], singular_dim_hi=dims[1])
+        for key, text in fields.items():
+            value = row[key]
+            if isinstance(value, list):
+                assert [float(x) for x in text.split(";")] == value, key
+            elif isinstance(value, (bool, str)):
+                assert text == str(value), key
+            else:
+                assert type(value)(text) == value, key

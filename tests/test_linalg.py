@@ -14,7 +14,6 @@ from g2orbits.linalg import (
     norm_g,
     orthonormalize,
     sym_eigen,
-    v_bracket_coeffs,
     v_elem,
     zeta,
 )
@@ -82,12 +81,6 @@ class TestBracketRules:
 
     def test_zeta_example(self):
         assert np.array_equal(bracket(zeta(1), v_elem(5, 1, 0, -1)), -zeta(4))
-
-    def test_rule_lookup(self):
-        k, coeffs = v_bracket_coeffs(1, 4, (1, 0, 0), (0, 0, 1))
-        assert k == 5 and coeffs == (0, -1, 0)
-        with pytest.raises(ValueError):
-            v_bracket_coeffs(1, 2, (1, 0, 0), (0, 0, 1))
 
     def test_rules_on_sampled_grid(self, rng):
         from g2orbits.linalg import V_BRACKET_RULES

@@ -17,7 +17,6 @@ from g2orbits.triality import (
     G_PAIRS,
     SpinElement,
     alpha,
-    apply_triality,
     beta,
     bracket_closure_defect,
     f_basis,
@@ -82,12 +81,6 @@ class TestTrialityMaps:
                     phi(bracket(x, y)) - bracket(phi(x), phi(y))
                 ).max()
                 assert defect < 1e-10
-
-    def test_apply_by_name(self, rng):
-        x = random_skew(rng)
-        assert np.array_equal(apply_triality("alpha", x), alpha(x))
-        with pytest.raises(ValueError):
-            apply_triality("delta", x)
 
     def test_so7_iff_beta_equals_gamma(self, rng):
         x = v_elem(4, *rng.normal(size=3))  # alpha-fixed
