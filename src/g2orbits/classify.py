@@ -158,24 +158,30 @@ def find_biharmonic(spec: ActionSpec, samples: int = 2000) -> list[float]:
     return [r for r in roots if abs(mean_curvature(spec, r)) > 1e-6]
 
 
-def compare_spectra(spec: ActionSpec, t: float, tol: float = 1e-6) -> float:
-    """Max absolute deviation between computed and closed-form spectra.
-
-    The computed spectrum is clustered with tolerance ``tol`` and paired
-    with the closed forms by sorted order; a multiplicity mismatch raises
-    :class:`StructuralMismatchError` carrying both multisets.
-    """
-    report = spectrum_report(spec, t, cluster_tol=tol)
-    reference = closed_form_spectrum(spec.action_type, t)
-    engine = list(report.curvatures)
+def spectrum_deviation(action_type: str, t: float, engine, reference) -> float:
+    """Max absolute deviation between an engine spectrum and the closed-form
+    one, paired by sorted order; a multiplicity mismatch raises
+    :class:`StructuralMismatchError` carrying both multisets."""
+    engine = list(engine)
     if [m for _, m in engine] != [m for _, m in reference]:
         raise StructuralMismatchError(
-            f"type {spec.action_type} t={t}: multiplicities "
+            f"type {action_type} t={t}: multiplicities "
             f"{[m for _, m in engine]} vs closed-form {[m for _, m in reference]}",
             engine,
             reference,
         )
     return max(abs(a - b) for (a, _), (b, _) in zip(engine, reference))
+
+
+def compare_spectra(spec: ActionSpec, t: float, tol: float = 1e-6) -> float:
+    """Max absolute deviation between computed and closed-form spectra.
+
+    The computed spectrum is clustered with tolerance ``tol`` and compared
+    by :func:`spectrum_deviation`.
+    """
+    report = spectrum_report(spec, t, cluster_tol=tol)
+    reference = closed_form_spectrum(spec.action_type, t)
+    return spectrum_deviation(spec.action_type, t, report.curvatures, reference)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each subcommand returns ``meta``, CSV columns and a list of dict rows, and
 :func:`render` prints them as text (a block of key / value lines per row),
-CSV (comma separated, header row, dot decimal separator, LF endings, floats
-at 17 significant digits so parsed values round-trip exactly) or JSON (one
-top-level object with ``meta`` and ``rows``).  Exit status is 0 only when
+CSV (comma separated and quoted where needed by the ``csv`` module, header
+row, dot decimal separator, LF endings, floats at 17 significant digits so
+parsed values round-trip exactly) or JSON (one top-level object with
+``meta`` and ``rows``).  Exit status is 0 only when
 every check the subcommand performs passes; input the engine cannot
 evaluate gives a one-line ``error:`` message and exit status 2.
 """
@@ -12,6 +13,8 @@ evaluate gives a one-line ``error:`` message and exit status 2.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from operator import itemgetter
@@ -23,8 +26,8 @@ from .classify import (
     EXPECTED_MULTIPLICITIES,
     classify_type,
     closed_form_spectrum,
-    compare_spectra,
     principal_interval,
+    spectrum_deviation,
 )
 from .orbits import ACTION_TYPES, action_spec, spectrum_report
 
@@ -51,12 +54,14 @@ def render(fmt: str, meta: dict, columns, rows: list[dict]) -> str:
     if fmt == "json":
         return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
     if fmt == "csv":
-        lines = [",".join(header for header, _ in columns)]
-        lines += [",".join(_cell(get(row)) for _, get in columns) for row in rows]
-    else:
-        lines = [" ".join(f"{key}={value}" for key, value in meta.items())]
-        for row in rows:
-            lines += [""] + [f"  {key:<26}{_cell(value, ', ')}" for key, value in row.items()]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header for header, _ in columns)
+        writer.writerows([_cell(get(row)) for _, get in columns] for row in rows)
+        return out.getvalue()
+    lines = [" ".join(f"{key}={value}" for key, value in meta.items())]
+    for row in rows:
+        lines += [""] + [f"  {key:<26}{_cell(value, ', ')}" for key, value in row.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -78,6 +83,12 @@ def _resolve_t(args, spec) -> float:
             f"t={t} is outside the parameter range [{lo}, {hi}] of type {spec.action_type}"
         )
     return t
+
+
+def _cluster_tol(args) -> float:
+    if not 0.0 < args.cluster_tol < np.inf:  # also rejects nan
+        raise ValueError(f"--cluster-tol must be finite and positive, got {args.cluster_tol}")
+    return args.cluster_tol
 
 
 def cmd_verify_algebra(args):
@@ -104,7 +115,8 @@ def _report_row(report) -> dict:
 def _spectra(args, spec, ts, **extra):
     """One row per spectrum report at the parameters ``ts``; the CSV columns
     pcNN hold the principal curvatures, each repeated by its multiplicity."""
-    reports = [spectrum_report(spec, float(t), cluster_tol=args.cluster_tol) for t in ts]
+    tol = _cluster_tol(args)
+    reports = [spectrum_report(spec, float(t), cluster_tol=tol) for t in ts]
     columns = _columns("t", "s", "dim", "mean_curvature", "norm_sq") + [
         (f"pc{i + 1:02d}", lambda row, i=i: [v for v, m in row["curvatures"] for _ in range(m)][i])
         for i in range(reports[0].orbit_dim)
@@ -164,15 +176,17 @@ def cmd_classify(args):
 
 
 def cmd_tables(args):
+    tol = _cluster_tol(args)
     rows = []
     for ty in [args.type] if args.type else ACTION_TYPES:
         spec = action_spec(ty)
         lo, hi = principal_interval(spec)
         for frac in (0.25, 0.5, 0.75):
             t = lo + frac * (hi - lo)
-            # compare_spectra raises on a multiplicity mismatch.
-            deviation = compare_spectra(spec, t, tol=args.cluster_tol)
-            report = spectrum_report(spec, t, cluster_tol=args.cluster_tol)
+            report = spectrum_report(spec, t, cluster_tol=tol)
+            reference = closed_form_spectrum(ty, t)
+            # spectrum_deviation raises on a multiplicity mismatch.
+            deviation = spectrum_deviation(ty, t, report.curvatures, reference)
             rows.append(
                 {
                     "action_type": ty,
@@ -181,7 +195,7 @@ def cmd_tables(args):
                     "closed_form": f"type {ty} principal-curvature closed forms",
                     "expected_multiplicities": list(EXPECTED_MULTIPLICITIES[ty]),
                     "computed": [[v, m] for v, m in report.curvatures],
-                    "reference": [[v, m] for v, m in closed_form_spectrum(ty, t)],
+                    "reference": [[v, m] for v, m in reference],
                     "max_deviation": deviation,
                     "passed": bool(deviation <= SPECTRUM_TOLERANCE),
                 }

@@ -3,10 +3,11 @@
 Provides the standard basis G_ij of so(8) acting on octonion coefficient
 vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2, the matrix bracket, the
-invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential, pivoted
-Gram-Schmidt orthonormalization with numerical rank detection, orthogonal
-complements, and symmetric eigenvalues from LAPACK clustered into
-multiplicities.
+invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential,
+orthonormal bases of spans from LAPACK's singular value decomposition (the
+numerical rank counts the singular values above a tolerance relative to
+the largest one), orthogonal complements, and symmetric eigenvalues from
+LAPACK clustered into multiplicities.
 
 Everything operates on plain numpy arrays and is safe for concurrent use.
 """
@@ -158,44 +159,19 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(generators, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> Subspace:
-    """Pivoted Gram-Schmidt under inner_g with numerical rank detection.
+    """Orthonormal basis under inner_g of the span of ``generators``.
 
-    Residual vectors whose norm falls below ``rel_tol`` times the largest
-    generator norm (or below ``abs_tol``) are discarded; ``dim`` is the
-    number retained.
+    One LAPACK SVD of the generators' row coordinates gives both the rank
+    and the basis: singular values above ``rel_tol`` times the largest one
+    (and above ``abs_tol``) are kept, ``dim`` is their number, and the basis
+    is the matching right singular vectors.
     """
     mats = np.asarray(list(generators), dtype=float)
     if mats.size == 0:
         return Subspace(np.zeros((0, 8, 8)), 0)
-    rows = _to_rows(mats)
-    norms0 = np.linalg.norm(rows, axis=1)
-    thresh = max(rel_tol * norms0.max(), abs_tol)
-    if norms0.max() == 0.0:
-        return Subspace(np.zeros((0, 8, 8)), 0)
-
-    residual = rows.copy()
-    accepted: list[np.ndarray] = []
-    alive = np.ones(len(rows), dtype=bool)
-    while alive.any():
-        norms = np.where(alive, np.linalg.norm(residual, axis=1), -1.0)
-        p = int(np.argmax(norms))
-        if norms[p] <= thresh:
-            break
-        q = residual[p] / norms[p]
-        if accepted:
-            # One re-orthogonalization pass keeps the basis clean near the
-            # rank threshold.
-            qmat = np.array(accepted)
-            q = q - qmat.T @ (qmat @ q)
-            q = q / np.linalg.norm(q)
-        accepted.append(q)
-        alive[p] = False
-        proj = residual[alive] @ q
-        residual[alive] -= np.outer(proj, q)
-    if not accepted:
-        return Subspace(np.zeros((0, 8, 8)), 0)
-    basis = _from_rows(np.array(accepted))
-    return Subspace(basis, len(accepted))
+    _, sing, vt = np.linalg.svd(_to_rows(mats), full_matrices=False)
+    dim = int(np.count_nonzero(sing > max(rel_tol * sing[0], abs_tol)))
+    return Subspace(_from_rows(vt[:dim]), dim)
 
 
 def span_coords(x: np.ndarray, sub: Subspace) -> np.ndarray:

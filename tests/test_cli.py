@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from g2orbits import cli
+from g2orbits import cli, orbits
 from g2orbits.cli import main
 from g2orbits.classify import principal_interval
 from g2orbits.orbits import action_spec, spectrum_report
@@ -140,6 +140,18 @@ class TestClassify:
 
 
 class TestTables:
+    def test_one_frame_per_row(self, capsys, monkeypatch):
+        calls = []
+        frame = orbits.orbit_frame
+
+        def counted_frame(spec, t):
+            calls.append(t)
+            return frame(spec, t)
+
+        monkeypatch.setattr(orbits, "orbit_frame", counted_frame)
+        assert main(["tables", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == len(calls) == 12
+
     def test_all_types_pass(self, capsys):
         assert main(["tables"]) == 0
         assert _values(capsys.readouterr().out, "passed") == ["True"] * 12
@@ -151,10 +163,14 @@ class TestTables:
         assert len(lines) == 4
 
 
-@pytest.mark.parametrize("argv", [["classify", "--type", "III"], ["tables", "--type", "II"]])
+@pytest.mark.parametrize(
+    "argv", [["classify", "--type", "III"], ["tables", "--type", "II"], ["verify-algebra"]]
+)
 def test_csv_fields_equal_json_values(capsys, argv):
     assert main([*argv, "--format", "csv"]) == 0
-    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert all(len(record) == len(header) for record in records)
+    table = [dict(zip(header, record)) for record in records]
     assert main([*argv, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(table) == len(rows) > 0
@@ -169,3 +185,13 @@ def test_csv_fields_equal_json_values(capsys, argv):
                 assert text == str(value), key
             else:
                 assert type(value)(text) == value, key
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+@pytest.mark.parametrize(
+    "argv", [["orbit", "--type", "III", "--t", "1.0"], ["scan", "--type", "II"], ["tables"]]
+)
+def test_bad_cluster_tolerance_is_an_error(capsys, argv, value):
+    assert main([*argv, f"--cluster-tol={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

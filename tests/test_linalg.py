@@ -193,6 +193,63 @@ class TestOrthonormalize:
         assert orthonormalize([]).dim == 0
 
 
+#: Orthonormal basis of so(8) under inner_g.
+SO8 = np.array([g_basis(i, j) for i in range(8) for j in range(i + 1, 8)])
+
+
+def _rows(mats):
+    # Flattened coordinates in which the dot product equals inner_g.
+    return np.asarray(mats).reshape(len(mats), -1) / np.sqrt(2.0)
+
+
+def _planted(rng, n, singular_values):
+    """n skew generators whose rows have exactly the given nonzero singular
+    values: a product of random orthonormal factors and a diagonal."""
+    r = len(singular_values)
+    left, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    right, _ = np.linalg.qr(rng.normal(size=(len(SO8), r)))
+    coeffs = (left * singular_values) @ right.T
+    return np.einsum("np,pab->nab", coeffs, SO8)
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize(
+        "n,singular_values,rank",
+        [
+            (5, [2.0], 1),
+            (12, np.geomspace(3.0, 0.1, 7), 7),
+            (30, np.geomspace(1.0, 1e-3, 14), 14),
+            (40, np.ones(28), 28),
+            # one singular value on either side of the 1e-9 relative threshold
+            (9, [1.0, 0.5, 0.5e-9], 2),
+            (9, [1.0, 0.5, 2e-9], 3),
+        ],
+    )
+    def test_orthonormalize_matches_orth(self, rng, n, singular_values, rank):
+        gens = _planted(rng, n, singular_values)
+        sub = orthonormalize(gens)
+        ref = scipy.linalg.orth(_rows(gens).T, rcond=1e-9)
+        assert sub.dim == ref.shape[1] == rank
+        # The kept span is determined to eps * s_1 / (s_rank - s_rank+1).
+        sv = list(singular_values) + [0.0]
+        tol = 64 * np.finfo(float).eps * sv[0] / (sv[rank - 1] - sv[rank])
+        basis = _rows(sub.basis)
+        assert np.abs(basis.T @ basis - ref @ ref.T).max() < tol
+
+    @pytest.mark.parametrize("ambient_rank,sub_rank", [(28, 6), (20, 1), (14, 13)])
+    def test_complement_matches_null_space(self, rng, ambient_rank, sub_rank):
+        ambient = orthonormalize(_planted(rng, 30, np.linspace(2.0, 1.0, ambient_rank)))
+        mix = rng.normal(size=(sub_rank, ambient.dim))
+        sub = orthonormalize(np.einsum("ki,iab->kab", mix, ambient.basis))
+        comp = complement(sub, ambient)
+        # Complement coordinates c in the ambient basis solve (sub . ambient) c = 0.
+        a = _rows(ambient.basis)
+        null = a.T @ scipy.linalg.null_space(_rows(sub.basis) @ a.T)
+        assert comp.dim == null.shape[1] == ambient_rank - sub_rank
+        c = _rows(comp.basis)
+        assert np.abs(c.T @ c - null @ null.T).max() < 1e-12
+
+
 class TestComplement:
     def test_two_plane(self):
         ambient = orthonormalize([g_basis(2, 3), g_basis(4, 5)])
