@@ -1,6 +1,6 @@
 """Tour of the classification layer: minimal, austere, biharmonic orbits.
 
-Run:  python demos/04_classification.py   (takes ~20 s: dense root scans)
+Run:  python demos/04_classification.py   (takes ~2 s: dense root scans)
 """
 
 from g2orbits import action_spec, classify, verify_reflection

@@ -10,8 +10,9 @@ distinguished parameters:
     norm of the shape operator equals the Einstein constant of the
     ambient metric (8 on G2, 10 on SO(7)).
 
-Root finding is a dense sign-change scan followed by bisection; the scan
-ranges are clipped 1e-4 away from singular endpoints where the closed
+Root finding is a dense sign-change scan, whose whole grid is one call of
+the batched frame kernel, followed by bisection on single parameters; the
+scan ranges are clipped 1e-4 away from singular endpoints where the closed
 forms blow up.
 """
 
@@ -114,7 +115,7 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 def _scan_roots(f, lo: float, hi: float, samples: int, xtol: float = 1e-12,
                 zero_tol: float = 1e-9) -> list[float]:
     ts = np.linspace(lo, hi, samples)
-    vals = np.array([f(t) for t in ts])
+    vals = f(ts)
     roots: list[float] = []
 
     def push(r: float):

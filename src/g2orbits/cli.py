@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, verify
 from .classify import (
     EXPECTED_MULTIPLICITIES,
+    REFERENCE_AUSTERE,
     classify_type,
     closed_form_spectrum,
     principal_interval,
@@ -153,6 +154,7 @@ def cmd_classify(args):
                 "closed_form_minimal_t": res.closed_form_minimal_t,
                 "minimal_deviation": dev_min,
                 "minimal_austere": res.minimal_austere,
+                "closed_form_austere": REFERENCE_AUSTERE[ty],
                 "biharmonic_t": list(res.biharmonic_t),
                 "biharmonic_s": list(res.biharmonic_s),
                 "closed_form_biharmonic_t": list(res.closed_form_biharmonic_t),
@@ -161,12 +163,13 @@ def cmd_classify(args):
                 "closed_form": f"type {ty} principal-curvature closed forms",
                 "notes": list(res.discrepancy_notes),
                 "passed": len(res.biharmonic_t) == len(res.closed_form_biharmonic_t)
-                and max(dev_min, dev_bi) <= PARAMETER_TOLERANCE,
+                and max(dev_min, dev_bi) <= PARAMETER_TOLERANCE
+                and res.minimal_austere == REFERENCE_AUSTERE[ty],
             }
         )
     columns = _columns(
         "action_type", "minimal_t", "minimal_s", "closed_form_minimal_t",
-        "minimal_deviation", "minimal_austere", "biharmonic_t",
+        "minimal_deviation", "minimal_austere", "closed_form_austere", "biharmonic_t",
         "closed_form_biharmonic_t", "biharmonic_deviation",
     ) + [
         ("singular_dim_lo", lambda row: row["singular_dims"][0]),
@@ -251,8 +254,12 @@ def main(argv=None) -> int:
         return 2
     text = render(args.format, meta, columns, rows)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all(row.get("passed", True) for row in rows) else 1

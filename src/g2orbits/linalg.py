@@ -3,10 +3,11 @@
 Provides the standard basis G_ij of so(8) acting on octonion coefficient
 vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2, the matrix bracket, the
-invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential,
-orthonormal bases of spans from LAPACK's singular value decomposition (the
-numerical rank counts the singular values above a tolerance relative to
-the largest one), orthogonal complements, and symmetric eigenvalues from
+invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential at one
+parameter or a whole array of them, orthonormal bases of spans from
+LAPACK's singular value decomposition (the numerical rank counts the
+singular values above a tolerance relative to the largest one, also for a
+stack of matrices), orthogonal complements, and symmetric eigenvalues from
 LAPACK clustered into multiplicities.
 
 Everything operates on plain numpy arrays and is safe for concurrent use.
@@ -116,29 +117,39 @@ def norm_g(x: np.ndarray) -> float:
     return float(np.sqrt(max(inner_g(x, x), 0.0)))
 
 
-def expm(x: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm(x: np.ndarray, t=1.0) -> np.ndarray:
     """exp(tX) by scaling and squaring of a truncated power series.
 
-    Accurate to ~1e-13 for ||tX|| up to a few tens; for skew-symmetric X
-    the result is orthogonal with determinant 1.
+    ``t`` is a number or an array of parameters; the result has the shape
+    of ``t`` followed by the shape of ``x``, and each exp(tX) takes its own
+    number of squarings and series terms, as if computed alone.  Accurate
+    to ~1e-13 for ||tX|| up to a few tens; for skew-symmetric X the result
+    is orthogonal with determinant 1.
     """
-    a = t * np.asarray(x, dtype=float)
-    n = a.shape[0]
-    nrm = np.linalg.norm(a)
-    squarings = 0
-    if nrm > 0.5:
-        squarings = int(np.ceil(np.log2(nrm / 0.5)))
-        a = a / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
+    x = np.asarray(x, dtype=float)
+    ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError(f"exp(tX) needs finite parameters, got {t}")
+    n = x.shape[0]
+    a = ts.reshape(-1, 1, 1) * x
+    nrm = np.sqrt(np.sum(a * a, axis=(1, 2)))
+    squarings = np.zeros(len(a), dtype=int)
+    big = nrm > 0.5
+    squarings[big] = np.ceil(np.log2(nrm[big] / 0.5)).astype(int)
+    a = a / (2.0 ** squarings)[:, None, None]
+    out = np.broadcast_to(np.eye(n), a.shape).copy()
+    term = out.copy()
+    active = np.ones(len(a), dtype=bool)
     for k in range(1, 40):
         term = term @ a / k
-        out = out + term
-        if np.linalg.norm(term) < 1e-17:
+        out += term * active[:, None, None]
+        active &= np.sqrt(np.sum(term * term, axis=(1, 2))) >= 1e-17
+        if not active.any():
             break
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    for i in range(squarings.max(initial=0)):
+        sq = squarings > i
+        out[sq] = out[sq] @ out[sq]
+    return out.reshape(ts.shape + (n, n))
 
 
 @dataclass(frozen=True)
@@ -158,20 +169,30 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
     return (rows * _SQRT2).reshape(-1, 8, 8)
 
 
+def ranked_svd(rows: np.ndarray, rel_tol: float = 1e-9, abs_tol: float = 0.0):
+    """Thin SVD ``u, sing, vt`` of ``rows`` and its numerical rank ``dim``.
+
+    ``rows`` may carry leading batch axes; ``dim`` then has their shape.
+    The rank counts the singular values above ``rel_tol`` times the largest
+    one and above ``abs_tol``.
+    """
+    u, sing, vt = np.linalg.svd(rows, full_matrices=False)
+    dim = np.count_nonzero(sing > np.maximum(rel_tol * sing[..., :1], abs_tol), axis=-1)
+    return u, sing, vt, dim
+
+
 def orthonormalize(generators, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> Subspace:
     """Orthonormal basis under inner_g of the span of ``generators``.
 
     One LAPACK SVD of the generators' row coordinates gives both the rank
-    and the basis: singular values above ``rel_tol`` times the largest one
-    (and above ``abs_tol``) are kept, ``dim`` is their number, and the basis
-    is the matching right singular vectors.
+    and the basis (see :func:`ranked_svd`): ``dim`` is the numerical rank
+    and the basis is the matching right singular vectors.
     """
     mats = np.asarray(list(generators), dtype=float)
     if mats.size == 0:
         return Subspace(np.zeros((0, 8, 8)), 0)
-    _, sing, vt = np.linalg.svd(_to_rows(mats), full_matrices=False)
-    dim = int(np.count_nonzero(sing > max(rel_tol * sing[0], abs_tol)))
-    return Subspace(_from_rows(vt[:dim]), dim)
+    _, _, vt, dim = ranked_svd(_to_rows(mats), rel_tol, abs_tol)
+    return Subspace(_from_rows(vt[:dim]), int(dim))
 
 
 def span_coords(x: np.ndarray, sub: Subspace) -> np.ndarray:

@@ -14,8 +14,12 @@ Levi-Civita connection:
     S_ij = -1/2 < [Ad^{-1} X_i - Y_i, Ad^{-1} X_j + Y_j], n >.
 
 The value is independent of the lift choice (the second fundamental form
-is tensorial); lifts are produced by least squares over the h + k
-coefficient space and any exact solution is acceptable.
+is tensorial), so any exact solution is acceptable.  Frames are computed
+in orthonormal coordinates of the ambient algebra: one SVD R = U S V^T of
+the coordinate rows R of Ad(g(t))^{-1} h_p and k_q gives the tangent rank,
+the tangent basis (rows of V^T) and the minimum-norm lifts (columns
+U_i / S_i).  :func:`mean_curvature` and :func:`shape_norm_sq` take whole
+arrays of t and evaluate them block by block.
 
 The per-type data (groups, geodesic and section generators, parameter
 ranges) come from the records of :mod:`g2orbits.actions`; the unit normal
@@ -32,17 +36,26 @@ import numpy as np
 
 from .actions import ACTIONS, action_record
 from .linalg import (
+    NotASubspaceError,
     Subspace,
+    _from_rows,
+    _to_rows,
+    bracket,
     complement,
     expm,
     inner_g,
-    orthonormalize,
+    orthonormalize,  # noqa: F401  (a binding site perfbench's tracer self-test wraps)
+    ranked_svd,
     sym_eigen,
     v_elem,
 )
 from .triality import NamedSubalgebra, named_subalgebra
 
 ACTION_TYPES = tuple(ACTIONS)
+
+#: Parameters per block of the frame kernel.  Each block is reduced to H
+#: or |A|^2 before the next one starts, which bounds the working memory.
+FRAME_BLOCK = 32
 
 
 class SingularOrbitError(RuntimeError):
@@ -55,7 +68,11 @@ class SingularOrbitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """Static data of one action type."""
+    """Static data of one action type.
+
+    The last four fields describe the ambient algebra in the orthonormal
+    coordinates (under inner_g, basis e_a) in which frames are computed.
+    """
 
     action_type: str
     ambient: NamedSubalgebra
@@ -67,29 +84,39 @@ class ActionSpec:
     t_range: tuple[float, float]
     section_ratio: float
     singular_ts: tuple[float, ...]
+    ambient_rows: np.ndarray  # (d, 64), the e_a as rows
+    k_coords: np.ndarray  # (k.dim, d), coordinates of the basis of k
+    unit_section: np.ndarray  # (d,), coordinates of the unit section generator xi
+    ad_section: np.ndarray  # (d, d), [a, b] = <e_a, [e_b, xi]>
 
 
 @lru_cache(maxsize=None)
 def action_spec(action_type: str) -> ActionSpec:
     """The configuration of one of the action types II, III, IV, V."""
     record = action_record(action_type)
+    ambient = named_subalgebra(record.ambient)
+    k = named_subalgebra(record.k)
+    section = v_elem(4, *record.section)
+    rows = _to_rows(ambient.basis)
+    unit_section = _to_rows(section[None])[0] @ rows.T
+    unit_section /= np.linalg.norm(unit_section)
+    brackets = bracket(ambient.basis, np.einsum("a,abc->bc", unit_section, ambient.basis))
     return ActionSpec(
         action_type=record.name,
-        ambient=named_subalgebra(record.ambient),
+        ambient=ambient,
         einstein_constant=record.einstein_constant,
         h=named_subalgebra(record.h),
-        k=named_subalgebra(record.k),
+        k=k,
         geodesic_generator=v_elem(4, *record.geodesic),
-        section_generator=v_elem(4, *record.section),
+        section_generator=section,
         t_range=record.t_range,
         section_ratio=record.section_ratio,
         singular_ts=record.singular_ts,
+        ambient_rows=rows,
+        k_coords=_to_rows(k.basis) @ rows.T,
+        unit_section=unit_section,
+        ad_section=rows @ _to_rows(brackets).T,
     )
-
-
-def group_element(spec: ActionSpec, t: float) -> np.ndarray:
-    """The geodesic point g(t) = exp(t * geodesic generator)."""
-    return expm(spec.geodesic_generator, t)
 
 
 @dataclass(frozen=True)
@@ -109,35 +136,69 @@ class OrbitFrame:
         return self.tangent.dim
 
 
+def _generator_rows(spec: ActionSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(t) and the generator rows R for each t of ``ts``.
+
+    The rows of R are the ambient coordinates of Ad(g(t))^{-1} h_p followed
+    by those of k_q; the projection of Ad(g(t))^{-1} h_p onto the ambient
+    algebra must leave a residual of at most 1e-9.
+    """
+    x = expm(spec.geodesic_generator, ts)
+    moved = np.swapaxes(x, 1, 2)[:, None] @ spec.h.basis @ x[:, None]
+    moved_rows = moved.reshape(moved.shape[:2] + (64,))
+    moved_rows /= np.sqrt(2.0)  # the coordinates of _to_rows, in place
+    h_coords = moved_rows @ spec.ambient_rows.T
+    moved_rows -= h_coords @ spec.ambient_rows
+    overshoot = np.sqrt(np.einsum("bpi,bpi->bp", moved_rows, moved_rows).max(axis=1))
+    if np.any(overshoot > 1e-9):
+        i = int(np.argmax(overshoot))
+        raise NotASubspaceError(
+            f"type {spec.action_type}: Ad(g)^-1 h leaves the ambient algebra at "
+            f"t={ts[i]} (residual {overshoot[i]:.3e})"
+        )
+    k_coords = np.broadcast_to(spec.k_coords, (len(ts),) + spec.k_coords.shape)
+    return x, np.concatenate([h_coords, k_coords], axis=1)
+
+
+def _lift_coeffs(ts, rows, u, sing, vt, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients C with C^T R = the first ``dim`` rows of ``vt``, and the
+    residual of that equation per t (at most 1e-9).
+
+    With R = U diag(sing) V^T the columns of C are U[:, i] / sing[i]; row p
+    of C weighs the p-th row of R.
+    """
+    coeffs = u[..., :dim] / sing[..., None, :dim]
+    residual = np.abs(np.swapaxes(coeffs, -1, -2) @ rows - vt[..., :dim, :]).max(
+        axis=(-2, -1), initial=0.0
+    )
+    if np.any(residual > 1e-9):
+        i = int(np.argmax(residual))
+        raise ArithmeticError(
+            f"Killing-field lift residual {residual[i]:.3e} at t={ts[i]}"
+        )
+    return coeffs, residual
+
+
 def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
     """Tangent space, normal space and Killing-field lifts at g(t).
 
     The tangent space is the span of { Ad(g(t))^{-1} h_i } together with
     the basis of k; the normal space is its complement in the ambient
-    algebra.  Lifts solve Ad^{-1} X - Y = u by least squares and are exact
+    algebra.  One SVD of the generators' ambient coordinates gives the
+    tangent rank and basis and the lifts, which solve Ad^{-1} X - Y = u
     up to ``lift_residual``.
     """
-    x = group_element(spec, t)
-    moved_h = np.einsum("ba,ibc,cd->iad", x, spec.h.basis, x)
-    gens = np.concatenate([moved_h, spec.k.basis], axis=0)
-    tangent = orthonormalize(gens)
+    ts = np.array([t], dtype=float)
+    x, rows = _generator_rows(spec, ts)
+    u, sing, vt, dims = ranked_svd(rows)
+    dim = int(dims[0])
+    coeffs, residual = _lift_coeffs(ts, rows, u, sing, vt, dim)
+    tangent = Subspace(_from_rows(vt[0, :dim] @ spec.ambient_rows), dim)
     normal = complement(tangent, spec.ambient.subspace)
-
-    nh, nk = spec.h.dim, spec.k.dim
-    columns = np.concatenate(
-        [moved_h.reshape(nh, -1), -spec.k.basis.reshape(nk, -1)], axis=0
-    ).T
-    rhs = tangent.basis.reshape(tangent.dim, -1).T
-    sol, *_ = np.linalg.lstsq(columns, rhs, rcond=None)
-    residual = float(np.abs(columns @ sol - rhs).max(initial=0.0))
-    if residual > 1e-9:
-        raise ArithmeticError(
-            f"Killing-field lift residual {residual:.3e} at t={t}"
-        )
-    coeff_h, coeff_k = sol[:nh], sol[nh:]
-    lift_h = np.einsum("pi,pab->iab", coeff_h, spec.h.basis)
-    lift_k = np.einsum("pi,pab->iab", coeff_k, spec.k.basis)
-    return OrbitFrame(t, x, tangent, normal, lift_h, lift_k, residual)
+    nh = spec.h.dim
+    lift_h = np.einsum("pi,pab->iab", coeffs[0, :nh], spec.h.basis)
+    lift_k = -np.einsum("pi,pab->iab", coeffs[0, nh:], spec.k.basis)
+    return OrbitFrame(t, x[0], tangent, normal, lift_h, lift_k, float(residual[0]))
 
 
 def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> np.ndarray:
@@ -241,37 +302,73 @@ class SpectrumReport:
     cluster_ambiguous: bool
 
 
-def _singular_distance(spec: ActionSpec, t: float) -> float:
-    return min(abs(t - s) for s in spec.singular_ts)
-
-
-def _require_principal_parameter(spec: ActionSpec, t: float, guard: float = 1e-6):
-    if _singular_distance(spec, t) < guard:
+def _require_principal_parameter(spec: ActionSpec, t, guard: float = 1e-6):
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    distance = np.min(np.abs(ts[:, None] - np.array(spec.singular_ts)), axis=1)
+    if np.any(distance < guard):
         raise SingularOrbitError(
-            f"type {spec.action_type}: t={t} is within {guard} of a singular parameter",
+            f"type {spec.action_type}: t={ts[np.argmax(distance < guard)]} is within "
+            f"{guard} of a singular parameter",
             codimension=-1,
         )
 
 
-def _shape_at(spec: ActionSpec, t: float):
-    _require_principal_parameter(spec, t)
-    frame = orbit_frame(spec, t)
-    normal = unit_normal(spec, t, frame=frame)
-    s = shape_operator(spec, t, normal, frame=frame)
-    return s, frame
+def _principal_shapes(spec: ActionSpec, ts: np.ndarray) -> np.ndarray:
+    """Symmetrised shape operators at the principal parameters ``ts``.
+
+    The unit normal is the section generator xi, certified by a tangent
+    rank of d - 1 and |<xi, u_i>| <= 1e-9 for every tangent basis vector
+    u_i.  In ambient coordinates S = -1/2 T ad_xi P^T, where the rows of T
+    are the u_i and those of P the lifts Ad^{-1} X_i + Y_i.
+    """
+    d = spec.ambient.dim
+    _, rows = _generator_rows(spec, ts)
+    u, sing, vt, dims = ranked_svd(rows)
+    tangent = vt[:, : d - 1]
+    tangency = np.abs(tangent @ spec.unit_section).max(axis=1)
+    bad = (dims != d - 1) | (tangency > 1e-9)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SingularOrbitError(
+            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - dims[i]}",
+            codimension=int(d - dims[i]),
+        )
+    coeffs, _ = _lift_coeffs(ts, rows, u, sing, vt, d - 1)
+    rows[:, spec.h.dim:] *= -1.0
+    plus = np.swapaxes(coeffs, 1, 2) @ rows
+    s = -0.5 * (tangent @ spec.ad_section) @ np.swapaxes(plus, 1, 2)
+    s_t = np.swapaxes(s, 1, 2)
+    defect = np.abs(s - s_t).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+    if np.any(defect > 1e-9 * scale):
+        i = int(np.argmax(defect / scale))
+        raise ArithmeticError(f"shape operator asymmetry defect {defect[i]:.3e} at t={ts[i]}")
+    return 0.5 * (s + s_t)
 
 
-def mean_curvature(spec: ActionSpec, t: float) -> float:
-    """Trace of the shape operator in the canonical unit normal."""
-    s, _ = _shape_at(spec, t)
-    return float(np.trace(s))
+def _reduce_shapes(spec: ActionSpec, t, reduce):
+    """``reduce`` of the shape operators at ``t`` (a number or an array),
+    taken block by block of at most :data:`FRAME_BLOCK` parameters."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    _require_principal_parameter(spec, flat)
+    values = np.empty(len(flat))
+    for start in range(0, len(flat), FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        values[block] = reduce(_principal_shapes(spec, flat[block]))
+    return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
 
-def shape_norm_sq(spec: ActionSpec, t: float) -> float:
+def mean_curvature(spec: ActionSpec, t):
+    """Trace of the shape operator in the canonical unit normal, at a
+    parameter or at each entry of an array of parameters."""
+    return _reduce_shapes(spec, t, lambda s: np.trace(s, axis1=1, axis2=2))
+
+
+def shape_norm_sq(spec: ActionSpec, t):
     """Squared Frobenius norm of the shape operator (sum of squared
-    principal curvatures)."""
-    s, _ = _shape_at(spec, t)
-    return float(np.sum(s * s))
+    principal curvatures), at a parameter or at each entry of an array."""
+    return _reduce_shapes(spec, t, lambda s: np.sum(s * s, axis=(1, 2)))
 
 
 def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> SpectrumReport:
@@ -281,7 +378,9 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
     cluster-ambiguous when some gap between adjacent eigenvalues lies
     within a decade of the clustering tolerance.
     """
-    s, frame = _shape_at(spec, t)
+    _require_principal_parameter(spec, t)
+    frame = orbit_frame(spec, t)
+    s = shape_operator(spec, t, unit_normal(spec, t, frame=frame), frame=frame)
     clusters = sym_eigen(s, cluster_tol=cluster_tol)
     values = np.concatenate([[v] * m for v, m in clusters]) if clusters else np.zeros(0)
     gaps = np.diff(np.sort(values))

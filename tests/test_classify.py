@@ -1,5 +1,7 @@
 """Closed-form spectra, root finding, and the classification bundle."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,24 @@ class TestRootFinding:
         counts = {"II": 2, "III": 1, "IV": 2, "V": 2}
         for ty in ALL_TYPES:
             assert len(classify_type(ty).biharmonic_t) == counts[ty]
+
+    def test_grid_is_one_call(self, monkeypatch):
+        calls = {"array": 0, "scalar": 0}
+
+        def counted(fn):
+            def wrapper(spec, t):
+                calls["array" if np.ndim(t) else "scalar"] += 1
+                return fn(spec, t)
+
+            return wrapper
+
+        module = importlib.import_module("g2orbits.classify")
+        for name in ("mean_curvature", "shape_norm_sq"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for ty in ALL_TYPES:
+            calls.update(array=0, scalar=0)
+            classify_type.__wrapped__(ty)  # uncached
+            assert calls["array"] <= 4 and calls["scalar"] <= 150, (ty, calls)
 
     def test_find_functions_match_classify(self):
         spec = action_spec("III")

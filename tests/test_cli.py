@@ -1,6 +1,7 @@
 """Command line surface: argument handling, formats, round-trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from g2orbits import cli, orbits
 from g2orbits.cli import main
-from g2orbits.classify import principal_interval
+from g2orbits.classify import classify_type, principal_interval
 from g2orbits.orbits import action_spec, spectrum_report
 
 
@@ -138,6 +139,16 @@ class TestClassify:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert any("sqrt(211)" in note for note in row["notes"])
 
+    def test_austere_verdict_must_agree(self, capsys, monkeypatch):
+        res = classify_type("IV")
+        flipped = dataclasses.replace(res, minimal_austere=not res.minimal_austere)
+        monkeypatch.setattr(cli, "classify_type", lambda ty: flipped)
+        assert main(["classify", "--type", "IV", "--format", "json"]) == 1
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["closed_form_austere"] is True
+        assert row["minimal_austere"] is False
+        assert row["passed"] is False
+
 
 class TestTables:
     def test_one_frame_per_row(self, capsys, monkeypatch):
@@ -193,5 +204,13 @@ def test_csv_fields_equal_json_values(capsys, argv):
 )
 def test_bad_cluster_tolerance_is_an_error(capsys, argv, value):
     assert main([*argv, f"--cluster-tol={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing_dir", "directory"])
+def test_unwritable_output_is_an_error(capsys, tmp_path, target):
+    path = tmp_path / target
+    assert main(["orbit", "--type", "II", "--t", "0.5", "--output", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,4 @@
-"""The quick demos run to completion (04_classification.py takes ~16 s and
-is left out)."""
+"""The demos run to completion (all four take about 3 s together)."""
 
 import os
 import subprocess
@@ -12,7 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_octonion_algebra.py", "02_triality_and_subalgebras.py", "03_orbit_spectra.py"]
+    "demo",
+    [
+        "01_octonion_algebra.py",
+        "02_triality_and_subalgebras.py",
+        "03_orbit_spectra.py",
+        "04_classification.py",
+    ],
 )
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

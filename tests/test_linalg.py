@@ -166,6 +166,22 @@ class TestExpm:
             t = rng.uniform(-4, 4)
             assert np.abs(expm(x, t) - scipy.linalg.expm(t * x)).max() < 1e-12
 
+    def test_array_of_parameters(self, rng):
+        # each entry takes its own squarings and series length, as if alone
+        x = random_skew(rng)
+        ts = np.concatenate([[0.0, 1e-3], rng.uniform(-4, 4, size=8)]).reshape(2, 5)
+        out = expm(x, ts)
+        assert out.shape == (2, 5, 8, 8)
+        assert np.array_equal(out[0, 0], np.eye(8))
+        for t, g in zip(ts.ravel(), out.reshape(-1, 8, 8)):
+            assert np.array_equal(g, expm(x, float(t)))
+            assert np.abs(g - scipy.linalg.expm(t * x)).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_parameter_is_refused(self, rng, t):
+        with pytest.raises(ValueError):
+            expm(random_skew(rng), np.array([0.5, t]))
+
 
 class TestOrthonormalize:
     def test_dependent_set(self):

@@ -1,15 +1,21 @@
 """Orbit frames, shape operators, spectra and the reflection isometries."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from g2orbits.classify import principal_interval
 from g2orbits.linalg import inner_g, v_elem, zeta
 from g2orbits.orbits import (
+    FRAME_BLOCK,
     SingularOrbitError,
     action_spec,
     is_austere,
     mean_curvature,
     orbit_frame,
+    shape_norm_sq,
     shape_operator,
     shape_operator_from_lifts,
     spectrum_report,
@@ -236,6 +242,58 @@ class TestMeanCurvature:
         assert mean_curvature(action_spec("IV"), np.pi / 3) == pytest.approx(
             -3.0, abs=1e-10
         )
+
+
+class TestFrameKernel:
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_array_matches_scalar_and_8x8_oracle(self, ty, rng):
+        spec = action_spec(ty)
+        lo, hi = principal_interval(spec)
+        # more than two blocks, the clipped window ends included
+        ts = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=2 * FRAME_BLOCK + 3)])
+        means, norms = mean_curvature(spec, ts), shape_norm_sq(spec, ts)
+        assert means.shape == norms.shape == ts.shape
+        for t, mean, norm in zip(ts, means, norms):
+            frame = orbit_frame(spec, t)
+            n = unit_normal(spec, t, frame=frame)
+            s = shape_operator_from_lifts(
+                frame.x, frame.tangent.basis, frame.lift_h, frame.lift_k, n
+            )
+            for value, scalar, oracle in [
+                (mean, mean_curvature(spec, float(t)), np.trace(s)),
+                (norm, shape_norm_sq(spec, float(t)), np.sum(s * s)),
+            ]:
+                assert isinstance(scalar, float)
+                tol = 1e-12 * max(1.0, abs(oracle))
+                assert abs(value - scalar) <= tol
+                assert abs(value - oracle) <= tol
+
+    def test_singular_parameter_in_array(self):
+        spec = action_spec("II")
+        ts = np.array([0.3, 0.6, 0.0, 0.9])
+        with pytest.raises(SingularOrbitError):
+            shape_norm_sq(spec, ts)
+        # past the principal guard, the rank check refuses the singular orbit
+        unguarded = dataclasses.replace(spec, singular_ts=(-1.0,))
+        with pytest.raises(SingularOrbitError) as err:
+            mean_curvature(unguarded, ts)
+        assert err.value.codimension == 4
+        # a normal that is not orthogonal to the tangent space is refused
+        tilted = dataclasses.replace(spec, unit_section=np.eye(spec.ambient.dim)[0])
+        with pytest.raises(SingularOrbitError):
+            mean_curvature(tilted, ts[:2])
+
+    def test_memory_is_bounded_by_the_block(self):
+        spec = action_spec("III")
+        ts = np.linspace(*principal_interval(spec), 2000)
+        shape_norm_sq(spec, ts)
+        tracemalloc.start()
+        try:
+            shape_norm_sq(spec, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSpectrumReport:
