@@ -130,15 +130,15 @@ def _scan_roots(f, lo: float, hi: float, samples: int, xtol: float = 1e-12,
     return sorted(roots)
 
 
-def find_minimal(spec: ActionSpec, samples: int = 200) -> float:
+def find_minimal(spec: ActionSpec) -> float:
     """The unique principal parameter with vanishing mean curvature.
 
-    Bracketing scan at ``samples`` points over the clipped principal
-    window, bisection to 1e-12.  A zero sitting exactly on a principal
-    endpoint of the window (type III) is accepted directly.
+    Bracketing scan at 200 points over the clipped principal window,
+    bisection to 1e-12.  A zero sitting exactly on a principal endpoint of
+    the window (type III) is accepted directly.
     """
     lo, hi = principal_interval(spec)
-    roots = _scan_roots(lambda t: mean_curvature(spec, t), lo, hi, samples)
+    roots = _scan_roots(lambda t: mean_curvature(spec, t), lo, hi, 200)
     if not roots:
         raise NoRootError(f"type {spec.action_type}: no minimal parameter found")
     if len(roots) > 1:
@@ -148,14 +148,13 @@ def find_minimal(spec: ActionSpec, samples: int = 200) -> float:
     return roots[0]
 
 
-def find_biharmonic(spec: ActionSpec, samples: int = 2000) -> list[float]:
+def find_biharmonic(spec: ActionSpec) -> list[float]:
     """All principal parameters where |shape|^2 equals the Einstein
-    constant and the mean curvature does not vanish."""
+    constant and the mean curvature does not vanish (bracketing scan at
+    2,000 points, bisection to 1e-12)."""
     lo, hi = principal_interval(spec)
     lam = spec.einstein_constant
-    roots = _scan_roots(
-        lambda t: shape_norm_sq(spec, t) - lam, lo, hi, samples
-    )
+    roots = _scan_roots(lambda t: shape_norm_sq(spec, t) - lam, lo, hi, 2000)
     return [r for r in roots if abs(mean_curvature(spec, r)) > 1e-6]
 
 

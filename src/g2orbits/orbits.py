@@ -14,12 +14,18 @@ Levi-Civita connection:
     S_ij = -1/2 < [Ad^{-1} X_i - Y_i, Ad^{-1} X_j + Y_j], n >.
 
 The value is independent of the lift choice (the second fundamental form
-is tensorial), so any exact solution is acceptable.  Frames are computed
-in orthonormal coordinates of the ambient algebra: one SVD R = U S V^T of
-the coordinate rows R of Ad(g(t))^{-1} h_p and k_q gives the tangent rank,
-the tangent basis (rows of V^T) and the minimum-norm lifts (columns
-U_i / S_i).  :func:`mean_curvature` and :func:`shape_norm_sq` take whole
-arrays of t and evaluate them block by block.
+is tensorial), so any exact solution is acceptable.
+
+One kernel, :func:`_frames`, computes every frame, in orthonormal
+coordinates e_a of the ambient algebra and for a whole block of t at once.
+One SVD R = U S V^T of the coordinate rows R of Ad(g(t))^{-1} h_p and k_q
+gives the tangent rank, the tangent basis (the first rows of V^T), the
+normal basis (the other rows) and the minimum-norm lifts (columns
+U_i / S_i).  With T the tangent rows, P the rows of Ad^{-1} X_i + Y_i and
+ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
+Orbit frames, shape operators in any normal, spectrum reports, and
+:func:`mean_curvature` and :func:`shape_norm_sq` over whole arrays of t
+(block by block) all come from this kernel.
 
 The per-type data (groups, geodesic and section generators, parameter
 ranges) come from the records of :mod:`g2orbits.actions`; the unit normal
@@ -41,7 +47,6 @@ from .linalg import (
     _from_rows,
     _to_rows,
     bracket,
-    complement,
     expm,
     inner_g,
     orthonormalize,  # noqa: F401  (a binding site perfbench's tracer self-test wraps)
@@ -100,7 +105,6 @@ def action_spec(action_type: str) -> ActionSpec:
     rows = _to_rows(ambient.basis)
     unit_section = _to_rows(section[None])[0] @ rows.T
     unit_section /= np.linalg.norm(unit_section)
-    brackets = bracket(ambient.basis, np.einsum("a,abc->bc", unit_section, ambient.basis))
     return ActionSpec(
         action_type=record.name,
         ambient=ambient,
@@ -115,20 +119,32 @@ def action_spec(action_type: str) -> ActionSpec:
         ambient_rows=rows,
         k_coords=_to_rows(k.basis) @ rows.T,
         unit_section=unit_section,
-        ad_section=rows @ _to_rows(brackets).T,
+        ad_section=_ad_matrix(ambient.basis, unit_section),
     )
+
+
+def _ad_matrix(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """[a, b] = <e_a, [e_b, v]> for v = sum_a coords[a] e_a, where the e_a
+    (``basis``) are orthonormal under inner_g."""
+    brackets = bracket(basis, np.einsum("a,abc->bc", coords, basis))
+    return _to_rows(basis) @ _to_rows(brackets).T
 
 
 @dataclass(frozen=True)
 class OrbitFrame:
-    """Identity-translated tangent data of the orbit through g(t)."""
+    """Identity-translated tangent data of the orbit through g(t).
+
+    The rows of ``tangent_rows`` (the tangent basis u_i) and ``lift_rows``
+    (Ad^{-1} X_i + Y_i for lifts (X_i, Y_i) of the u_i) are coordinates in
+    the orthonormal basis of the ambient algebra.
+    """
 
     t: float
     x: np.ndarray  # g(t)
     tangent: Subspace
     normal: Subspace
-    lift_h: np.ndarray  # (tangent.dim, 8, 8), components in h
-    lift_k: np.ndarray  # (tangent.dim, 8, 8), components in k
+    tangent_rows: np.ndarray  # (tangent.dim, d)
+    lift_rows: np.ndarray  # (tangent.dim, d)
     lift_residual: float
 
     @property
@@ -136,13 +152,22 @@ class OrbitFrame:
         return self.tangent.dim
 
 
-def _generator_rows(spec: ActionSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g(t) and the generator rows R for each t of ``ts``.
+def _frames(spec: ActionSpec, ts: np.ndarray):
+    """The frame kernel: ``x, vt, dim, lifts, residual`` at each parameter
+    of ``ts``, from one SVD R = U diag(sing) V^T of the generator rows R.
 
-    The rows of R are the ambient coordinates of Ad(g(t))^{-1} h_p followed
-    by those of k_q; the projection of Ad(g(t))^{-1} h_p onto the ambient
-    algebra must leave a residual of at most 1e-9.
+    The rows of R are the ambient coordinates of Ad(g(t))^{-1} h_p, whose
+    projection onto the ambient algebra must leave a residual of at most
+    1e-9, followed by those of k_q.  x is g(t); the tangent rows are
+    vt[:, :dim] and the normal rows vt[:, dim:].  ``dim`` is the largest
+    numerical rank of the block; a parameter of lower rank raises
+    :class:`SingularOrbitError` with its codimension.  The lift
+    coefficients C = U[:, :dim] / sing[:dim] solve C^T R = V^T[:dim] up to
+    ``residual`` (at most 1e-9); row p of C weighs the p-th generator, so
+    C^T R with the k rows negated gives ``lifts``, the rows of
+    Ad^{-1} X_i + Y_i.
     """
+    d = spec.ambient.dim
     x = expm(spec.geodesic_generator, ts)
     moved = np.swapaxes(x, 1, 2)[:, None] @ spec.h.basis @ x[:, None]
     moved_rows = moved.reshape(moved.shape[:2] + (64,))
@@ -157,26 +182,40 @@ def _generator_rows(spec: ActionSpec, ts: np.ndarray) -> tuple[np.ndarray, np.nd
             f"t={ts[i]} (residual {overshoot[i]:.3e})"
         )
     k_coords = np.broadcast_to(spec.k_coords, (len(ts),) + spec.k_coords.shape)
-    return x, np.concatenate([h_coords, k_coords], axis=1)
-
-
-def _lift_coeffs(ts, rows, u, sing, vt, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients C with C^T R = the first ``dim`` rows of ``vt``, and the
-    residual of that equation per t (at most 1e-9).
-
-    With R = U diag(sing) V^T the columns of C are U[:, i] / sing[i]; row p
-    of C weighs the p-th row of R.
-    """
+    rows = np.concatenate([h_coords, k_coords], axis=1)
+    u, sing, vt, dims = ranked_svd(rows)
+    dim = int(dims.max())
+    if np.any(dims < dim):
+        i = int(np.argmax(dims < dim))
+        raise SingularOrbitError(
+            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - dims[i]}",
+            codimension=int(d - dims[i]),
+        )
     coeffs = u[..., :dim] / sing[..., None, :dim]
-    residual = np.abs(np.swapaxes(coeffs, -1, -2) @ rows - vt[..., :dim, :]).max(
-        axis=(-2, -1), initial=0.0
+    residual = np.abs(np.swapaxes(coeffs, 1, 2) @ rows - vt[:, :dim]).max(
+        axis=(1, 2), initial=0.0
     )
     if np.any(residual > 1e-9):
         i = int(np.argmax(residual))
         raise ArithmeticError(
             f"Killing-field lift residual {residual[i]:.3e} at t={ts[i]}"
         )
-    return coeffs, residual
+    rows[:, spec.h.dim:] *= -1.0
+    return x, vt, dim, np.swapaxes(coeffs, 1, 2) @ rows, residual
+
+
+def _shapes(tangent, ad, lifts, ts) -> np.ndarray:
+    """S = -1/2 T ad P^T for stacks of tangent rows T and lift rows P,
+    checked for symmetry up to 1e-9 relative to the entry scale (which
+    grows like cot near singular parameters) and then symmetrised."""
+    s = -0.5 * (tangent @ ad) @ np.swapaxes(lifts, 1, 2)
+    s_t = np.swapaxes(s, 1, 2)
+    defect = np.abs(s - s_t).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+    if np.any(defect > 1e-9 * scale):
+        i = int(np.argmax(defect / scale))
+        raise ArithmeticError(f"shape operator asymmetry defect {defect[i]:.3e} at t={ts[i]}")
+    return 0.5 * (s + s_t)
 
 
 def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
@@ -184,21 +223,17 @@ def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
 
     The tangent space is the span of { Ad(g(t))^{-1} h_i } together with
     the basis of k; the normal space is its complement in the ambient
-    algebra.  One SVD of the generators' ambient coordinates gives the
-    tangent rank and basis and the lifts, which solve Ad^{-1} X - Y = u
-    up to ``lift_residual``.
+    algebra.  Both bases and the lifts, which solve Ad^{-1} X - Y = u up
+    to ``lift_residual``, come from the frame kernel at one parameter.
     """
-    ts = np.array([t], dtype=float)
-    x, rows = _generator_rows(spec, ts)
-    u, sing, vt, dims = ranked_svd(rows)
-    dim = int(dims[0])
-    coeffs, residual = _lift_coeffs(ts, rows, u, sing, vt, dim)
+    x, vt, dim, lifts, residual = _frames(spec, np.array([t], dtype=float))
     tangent = Subspace(_from_rows(vt[0, :dim] @ spec.ambient_rows), dim)
-    normal = complement(tangent, spec.ambient.subspace)
-    nh = spec.h.dim
-    lift_h = np.einsum("pi,pab->iab", coeffs[0, :nh], spec.h.basis)
-    lift_k = -np.einsum("pi,pab->iab", coeffs[0, nh:], spec.k.basis)
-    return OrbitFrame(t, x[0], tangent, normal, lift_h, lift_k, float(residual[0]))
+    normal = Subspace(_from_rows(vt[0, dim:] @ spec.ambient_rows), len(vt[0]) - dim)
+    if tangent.dim + normal.dim != spec.ambient.dim:
+        raise ArithmeticError(
+            f"tangent dim {tangent.dim} + normal dim {normal.dim} != {spec.ambient.dim}"
+        )
+    return OrbitFrame(t, x[0], tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
 
 
 def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> np.ndarray:
@@ -222,34 +257,6 @@ def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> 
     return n
 
 
-def shape_operator_from_lifts(
-    x: np.ndarray,
-    vectors: np.ndarray,
-    lift_h: np.ndarray,
-    lift_k: np.ndarray,
-    normal: np.ndarray,
-    symmetry_tol: float = 1e-9,
-) -> np.ndarray:
-    """Shape operator matrix from explicit Killing-field lifts.
-
-    vectors[i] must equal Ad(x)^{-1} lift_h[i] - lift_k[i]; the matrix is
-    S_ij = -1/2 < [vectors_i, Ad^{-1} lift_h_j + lift_k_j], normal >,
-    checked for symmetry up to ``symmetry_tol`` (relative to the entry
-    scale, which grows like cot near singular parameters) and then
-    symmetrized.
-    """
-    plus = np.einsum("ba,jbc,cd->jad", x, lift_h, x) + lift_k
-    comm = np.einsum("jab,bc->jac", plus, normal) - np.einsum(
-        "ab,jbc->jac", normal, plus
-    )
-    s = 0.25 * np.einsum("iab,jba->ij", vectors, comm)
-    defect = float(np.abs(s - s.T).max(initial=0.0))
-    scale = max(1.0, float(np.abs(s).max(initial=0.0)))
-    if defect > symmetry_tol * scale:
-        raise ArithmeticError(f"shape operator asymmetry defect {defect:.3e}")
-    return 0.5 * (s + s.T)
-
-
 def shape_operator(
     spec: ActionSpec,
     t: float,
@@ -259,21 +266,24 @@ def shape_operator(
 ) -> np.ndarray:
     """Shape operator of the orbit through g(t) in the direction ``normal``.
 
-    ``normal`` must be a unit vector orthogonal to the tangent space; this
-    works at singular parameters too, one normal direction at a time.
+    ``normal`` must be a unit vector of the ambient algebra orthogonal to
+    the tangent space; this works at singular parameters too, one normal
+    direction at a time.
     """
     if frame is None:
         frame = orbit_frame(spec, t)
     if abs(inner_g(normal, normal) - 1.0) > tol:
         raise ValueError("normal vector is not unit length")
-    tangency = max(
-        abs(inner_g(normal, u)) for u in frame.tangent.basis
-    ) if frame.tangent.dim else 0.0
+    row = _to_rows(normal[None])[0]
+    coords = row @ spec.ambient_rows.T
+    outside = float(np.linalg.norm(row - coords @ spec.ambient_rows))
+    if outside > tol:
+        raise ValueError(f"normal leaves the ambient algebra (residual {outside:.3e})")
+    tangency = float(np.abs(frame.tangent_rows @ coords).max(initial=0.0))
     if tangency > tol:
         raise ValueError(f"normal is not orthogonal to the tangent space ({tangency:.3e})")
-    return shape_operator_from_lifts(
-        frame.x, frame.tangent.basis, frame.lift_h, frame.lift_k, normal
-    )
+    ad = _ad_matrix(spec.ambient.basis, coords)
+    return _shapes(frame.tangent_rows[None], ad, frame.lift_rows[None], [t])[0]
 
 
 def is_austere(curvatures, tol: float = 1e-6) -> bool:
@@ -318,32 +328,20 @@ def _principal_shapes(spec: ActionSpec, ts: np.ndarray) -> np.ndarray:
 
     The unit normal is the section generator xi, certified by a tangent
     rank of d - 1 and |<xi, u_i>| <= 1e-9 for every tangent basis vector
-    u_i.  In ambient coordinates S = -1/2 T ad_xi P^T, where the rows of T
-    are the u_i and those of P the lifts Ad^{-1} X_i + Y_i.
+    u_i.
     """
     d = spec.ambient.dim
-    _, rows = _generator_rows(spec, ts)
-    u, sing, vt, dims = ranked_svd(rows)
-    tangent = vt[:, : d - 1]
+    _, vt, dim, lifts, _ = _frames(spec, ts)
+    tangent = vt[:, :dim]
     tangency = np.abs(tangent @ spec.unit_section).max(axis=1)
-    bad = (dims != d - 1) | (tangency > 1e-9)
+    bad = (dim != d - 1) | (tangency > 1e-9)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SingularOrbitError(
-            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - dims[i]}",
-            codimension=int(d - dims[i]),
+            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - dim}",
+            codimension=d - dim,
         )
-    coeffs, _ = _lift_coeffs(ts, rows, u, sing, vt, d - 1)
-    rows[:, spec.h.dim:] *= -1.0
-    plus = np.swapaxes(coeffs, 1, 2) @ rows
-    s = -0.5 * (tangent @ spec.ad_section) @ np.swapaxes(plus, 1, 2)
-    s_t = np.swapaxes(s, 1, 2)
-    defect = np.abs(s - s_t).max(axis=(1, 2))
-    scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
-    if np.any(defect > 1e-9 * scale):
-        i = int(np.argmax(defect / scale))
-        raise ArithmeticError(f"shape operator asymmetry defect {defect[i]:.3e} at t={ts[i]}")
-    return 0.5 * (s + s_t)
+    return _shapes(tangent, spec.ad_section, lifts, ts)
 
 
 def _reduce_shapes(spec: ActionSpec, t, reduce):
@@ -379,8 +377,7 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
     within a decade of the clustering tolerance.
     """
     _require_principal_parameter(spec, t)
-    frame = orbit_frame(spec, t)
-    s = shape_operator(spec, t, unit_normal(spec, t, frame=frame), frame=frame)
+    s = _principal_shapes(spec, np.array([t], dtype=float))[0]
     clusters = sym_eigen(s, cluster_tol=cluster_tol)
     values = np.concatenate([[v] * m for v, m in clusters]) if clusters else np.zeros(0)
     gaps = np.diff(np.sort(values))
@@ -388,7 +385,7 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
     return SpectrumReport(
         t=float(t),
         s=float(t) / spec.section_ratio,
-        orbit_dim=frame.orbit_dim,
+        orbit_dim=spec.ambient.dim - 1,
         shape=s,
         curvatures=tuple((float(v), int(m)) for v, m in clusters),
         mean_curvature=float(np.trace(s)),

@@ -89,9 +89,7 @@ def check_v_bracket_rules() -> CheckResult:
     for i, j, k, terms in la.V_BRACKET_RULES:
         vi = _v_stack(i, grid)
         vj = _v_stack(j, grid)
-        lhs = np.einsum("gab,hbc->ghac", vi, vj) - np.einsum(
-            "hab,gbc->ghac", vj, vi
-        )
+        lhs = vi[:, None] @ vj[None] - vj[None] @ vi[:, None]
         tensor = np.zeros((3, 3, 3))
         for m, term in enumerate(terms):
             for sgn, p, q in term:

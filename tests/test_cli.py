@@ -153,13 +153,13 @@ class TestClassify:
 class TestTables:
     def test_one_frame_per_row(self, capsys, monkeypatch):
         calls = []
-        frame = orbits.orbit_frame
+        frames = orbits._frames
 
-        def counted_frame(spec, t):
-            calls.append(t)
-            return frame(spec, t)
+        def counted_frames(spec, ts):
+            calls.append(ts)
+            return frames(spec, ts)
 
-        monkeypatch.setattr(orbits, "orbit_frame", counted_frame)
+        monkeypatch.setattr(orbits, "_frames", counted_frames)
         assert main(["tables", "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == len(calls) == 12
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g2orbits.classify import principal_interval
-from g2orbits.linalg import inner_g, v_elem, zeta
+from g2orbits.linalg import g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
     SingularOrbitError,
@@ -17,13 +17,12 @@ from g2orbits.orbits import (
     orbit_frame,
     shape_norm_sq,
     shape_operator,
-    shape_operator_from_lifts,
     spectrum_report,
     unit_normal,
     verify_reflection,
 )
 
-from util import raw_shape_matrix
+from util import lift_generators, shape_oracle
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -93,7 +92,7 @@ class TestShapeOperator:
             t = rng.uniform(lo + 0.15, hi - 0.15)
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            raw = raw_shape_matrix(frame, n)
+            raw = shape_oracle(spec, frame.x, frame.tangent.basis, n)
             assert np.abs(raw - raw.T).max() < 1e-9
 
     def test_rejects_bad_normal(self):
@@ -104,6 +103,14 @@ class TestShapeOperator:
         with pytest.raises(ValueError):
             shape_operator(spec, 0.8, frame.tangent.basis[0], frame=frame)
 
+    def test_rejects_normal_outside_the_ambient_algebra(self):
+        # G_01 is unit length and orthogonal to so(7), so also to the
+        # tangent space, but it is no normal vector of the orbit in SO(7).
+        spec = action_spec("III")
+        assert inner_g(g_basis(0, 1), g_basis(0, 1)) == 1.0
+        with pytest.raises(ValueError, match="leaves the ambient algebra"):
+            shape_operator(spec, 0.8, g_basis(0, 1))
+
     def test_lift_independence(self, rng):
         # Perturb the least-squares lifts along the solution space's null
         # directions; the shape operator must not move.
@@ -113,24 +120,18 @@ class TestShapeOperator:
             n = unit_normal(spec, t, frame=frame)
             base = shape_operator(spec, t, n, frame=frame)
 
-            moved_h = np.einsum("ba,ibc,cd->iad", frame.x, spec.h.basis, frame.x)
-            columns = np.concatenate(
-                [moved_h.reshape(spec.h.dim, -1), -spec.k.basis.reshape(spec.k.dim, -1)],
-                axis=0,
-            ).T
+            gens = lift_generators(spec, frame.x)
+            columns = gens.reshape(len(gens), -1).T
             _, sv, vt = np.linalg.svd(columns, full_matrices=True)
             null = vt[np.sum(sv > 1e-9 * sv[0]):]
             assert len(null) > 0
 
-            lift_h = frame.lift_h.copy()
-            lift_k = frame.lift_k.copy()
-            for i in range(frame.tangent.dim):
-                z = null.T @ rng.normal(size=len(null))
-                lift_h[i] += np.einsum("p,pab->ab", z[: spec.h.dim], spec.h.basis)
-                lift_k[i] += np.einsum("p,pab->ab", z[spec.h.dim:], spec.k.basis)
-            perturbed = shape_operator_from_lifts(
-                frame.x, frame.tangent.basis, lift_h, lift_k, n
+            vectors = frame.tangent.basis
+            coeffs, *_ = np.linalg.lstsq(
+                columns, vectors.reshape(len(vectors), -1).T, rcond=None
             )
+            coeffs += null.T @ rng.normal(size=(len(null), len(vectors)))
+            perturbed = shape_oracle(spec, frame.x, vectors, n, coeffs=coeffs)
             assert np.abs(perturbed - base).max() < 1e-9
 
     def test_frame_independence(self, rng):
@@ -145,16 +146,8 @@ class TestShapeOperator:
         m = frame.tangent.dim
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         rotated = np.einsum("ij,jab->iab", q, frame.tangent.basis)
-        moved_h = np.einsum("ba,ibc,cd->iad", frame.x, spec.h.basis, frame.x)
-        columns = np.concatenate(
-            [moved_h.reshape(spec.h.dim, -1), -spec.k.basis.reshape(spec.k.dim, -1)],
-            axis=0,
-        ).T
-        sol, *_ = np.linalg.lstsq(columns, rotated.reshape(m, -1).T, rcond=None)
-        lift_h = np.einsum("pi,pab->iab", sol[: spec.h.dim], spec.h.basis)
-        lift_k = np.einsum("pi,pab->iab", sol[spec.h.dim:], spec.k.basis)
-        rotated_shape = shape_operator_from_lifts(frame.x, rotated, lift_h, lift_k, n)
-        ours = np.sort(np.linalg.eigvalsh(rotated_shape))
+        rotated_shape = shape_oracle(spec, frame.x, rotated, n)
+        ours = np.sort(np.linalg.eigvalsh(0.5 * (rotated_shape + rotated_shape.T)))
         ref = np.sort(np.linalg.eigvalsh(base))
         assert np.abs(ours - ref).max() < 1e-9
 
@@ -256,9 +249,8 @@ class TestFrameKernel:
         for t, mean, norm in zip(ts, means, norms):
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            s = shape_operator_from_lifts(
-                frame.x, frame.tangent.basis, frame.lift_h, frame.lift_k, n
-            )
+            raw = shape_oracle(spec, frame.x, frame.tangent.basis, n)
+            s = 0.5 * (raw + raw.T)
             for value, scalar, oracle in [
                 (mean, mean_curvature(spec, float(t)), np.trace(s)),
                 (norm, shape_norm_sq(spec, float(t)), np.sum(s * s)),

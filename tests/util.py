@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from g2orbits.actions import _random_lifted_g2 as random_lifted_g2  # noqa: F401
 from g2orbits.linalg import expm, norm_g
-from g2orbits.triality import named_subalgebra, spin_lift_exp
+from g2orbits.triality import named_subalgebra
 
 
 def random_skew(rng, scale=1.0):
@@ -18,18 +19,39 @@ def random_g2_matrix(rng):
     return gen / norm_g(gen)
 
 
-def random_lifted_g2(rng):
-    return spin_lift_exp(random_g2_matrix(rng), rng.uniform(0.0, np.pi))
-
-
 def random_g2_group_element(rng):
     return expm(random_g2_matrix(rng), rng.uniform(0.0, np.pi))
 
 
-def raw_shape_matrix(frame, normal):
-    """Unsymmetrized shape operator matrix from a frame's lifts."""
-    plus = np.einsum("ba,jbc,cd->jad", frame.x, frame.lift_h, frame.x) + frame.lift_k
-    comm = np.einsum("jab,bc->jac", plus, normal) - np.einsum(
-        "ab,jbc->jac", normal, plus
+def lift_generators(spec, x):
+    """The 8x8 generators Ad(x)^{-1} h_p and -k_q of the lift equation
+    Ad(x)^{-1} X - Y = u: the coefficients c of a lift satisfy
+    sum_p c[p] generators[p] = u."""
+    moved_h = np.einsum("ba,pbc,cd->pad", x, spec.h.basis, x)
+    return np.concatenate([moved_h, -spec.k.basis])
+
+
+def shape_oracle(spec, x, vectors, normal, coeffs=None):
+    """Unsymmetrized S_ij = -1/2 <[vectors_i, Ad^{-1} X_j + Y_j], normal>
+    in 8x8 matrices, independent of the engine's frame kernel.
+
+    The lift coefficients (one column per vector, see
+    :func:`lift_generators`) are least-squares solutions unless given,
+    with one step of iterative refinement: within 1e-4 of a singular
+    parameter the lift equation has a condition number near 1e4, and the
+    refined lifts agree with extended-precision ones.  A lift that misses
+    its vector by more than 1e-9 fails the assertion.
+    """
+    gens = lift_generators(spec, x)
+    if coeffs is None:
+        columns = gens.reshape(len(gens), -1).T
+        rhs = vectors.reshape(len(vectors), -1).T
+        coeffs = np.linalg.lstsq(columns, rhs, rcond=None)[0]
+        coeffs += np.linalg.lstsq(columns, rhs - columns @ coeffs, rcond=None)[0]
+    assert np.abs(np.einsum("pi,pab->iab", coeffs, gens) - vectors).max() < 1e-9
+    nh = spec.h.dim
+    plus = np.einsum("pi,pab->iab", coeffs[:nh], gens[:nh]) - np.einsum(
+        "pi,pab->iab", coeffs[nh:], gens[nh:]
     )
-    return 0.25 * np.einsum("iab,jba->ij", frame.tangent.basis, comm)
+    comm = plus @ normal - normal @ plus
+    return 0.25 * np.einsum("iab,jba->ij", vectors, comm)
