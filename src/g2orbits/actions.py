@@ -1,13 +1,14 @@
 """One record per action type: every fact that differs between II-V.
 
-An :class:`ActionRecord` holds the geometry that
-:func:`g2orbits.orbits.action_spec` builds (subalgebra names of the ambient
-algebra, H and K; V4 coefficients of the geodesic and section generators;
-the parameter range, its singular ends and the section ratio t = ratio * s),
-closed forms in t of the principal curvatures, the mean curvature H and
-|A|^2, the minimal parameter with its austere verdict, the proper biharmonic
-parameters, the orbit-reversing isometry of types III and IV, and the note
-on the tan^2 reading of the type V biharmonic parameters.
+An :class:`ActionRecord` holds the data of the geometry (subalgebra names
+of the ambient algebra, H and K; V4 coefficients of the geodesic and
+section generators; the parameter range, its singular ends and the section
+ratio t = ratio * s), closed forms in t of the principal curvatures, the
+mean curvature H and |A|^2, the minimal parameter with its austere verdict,
+the proper biharmonic parameters, the orbit-reversing isometry of types III
+and IV, and the note on the tan^2 reading of the type V biharmonic
+parameters.  :class:`g2orbits.orbits.ActionSpec` extends the record with
+the subalgebras and generators built from it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .triality import (
 _R6 = np.sqrt(6.0)
 _R2 = np.sqrt(2.0)
 _HALF_PI = np.pi / 2.0
+
+#: Tolerance of the reflection certificates.
+REFLECTION_TOL = 1e-9
 
 
 def _cot(t: float) -> float:
@@ -81,17 +85,17 @@ def _random_lifted_g2(rng) -> SpinElement:
     return spin_lift_exp(gen, float(rng.uniform(0.0, np.pi)))
 
 
-def _reflection_iii(spec, tol: float) -> bool:
+def _reflection_iii(spec) -> bool:
     """x -> g(pi) x^{-1}: g(pi) must be an octonion automorphism,
     Ad(g(pi/2)) must fix the section generator (so the differential
     negates the normal), and the RP7 level function must certify that the
     map sends sampled orbit points into the same orbit."""
     g_pi = expm(spec.geodesic_generator, np.pi)
-    if not is_automorphism(g_pi, tol):
+    if not is_automorphism(g_pi, REFLECTION_TOL):
         return False
     g_half = expm(spec.geodesic_generator, np.pi / 2.0)
     z4 = zeta(4)
-    if np.abs(g_half @ z4 @ g_half.T - z4).max() > tol:
+    if np.abs(g_half @ z4 @ g_half.T - z4).max() > REFLECTION_TOL:
         return False
     rng = np.random.default_rng(20240611)
     lifted_g_pi = spin_lift_exp(spec.geodesic_generator, np.pi)
@@ -100,23 +104,23 @@ def _reflection_iii(spec, tol: float) -> bool:
         point = _random_lifted_g2(rng) @ lifted_mid @ _random_lifted_g2(rng)
         image = lifted_g_pi @ point.inverse()
         level = abs(np.cos(t))
-        if abs(rp7_invariant(point) - level) > tol:
+        if abs(rp7_invariant(point) - level) > REFLECTION_TOL:
             return False
-        if abs(rp7_invariant(image) - level) > tol:
+        if abs(rp7_invariant(image) - level) > REFLECTION_TOL:
             return False
     return True
 
 
-def _reflection_iv(spec, tol: float) -> bool:
+def _reflection_iv(spec) -> bool:
     """x -> g(pi/2) sigma g(-pi/2) x sigma: the conjugated element must
     commute with sigma, and sigma must negate the section generator under
     conjugation."""
     g_half = expm(spec.geodesic_generator, np.pi / 2.0)
     conjugated = g_half @ SIGMA @ g_half.T
-    if np.abs(conjugated @ SIGMA - SIGMA @ conjugated).max() > tol:
+    if np.abs(conjugated @ SIGMA - SIGMA @ conjugated).max() > REFLECTION_TOL:
         return False
     z4 = zeta(4)
-    return bool(np.abs(SIGMA @ z4 @ SIGMA + z4).max() <= tol)
+    return bool(np.abs(SIGMA @ z4 @ SIGMA + z4).max() <= REFLECTION_TOL)
 
 
 def _note_v(biharmonic: tuple[float, ...]) -> str:
@@ -136,10 +140,10 @@ def _note_v(biharmonic: tuple[float, ...]) -> str:
 class ActionRecord:
     """Every per-type fact of one action (see the module docstring)."""
 
-    name: str
-    ambient: str  # subalgebra names, see triality.named_subalgebra
-    h: str
-    k: str
+    action_type: str
+    ambient_name: str  # subalgebra names, see triality.named_subalgebra
+    h_name: str
+    k_name: str
     einstein_constant: float
     geodesic: tuple[float, float, float]  # generator V4(lambda, mu, nu)
     section: tuple[float, float, float]  # section generator V4(lambda, mu, nu)
@@ -152,7 +156,7 @@ class ActionRecord:
     minimal_t: float
     austere: bool  # verdict at the minimal orbit
     biharmonic_t: tuple[float, ...]
-    reflection: Callable[..., bool] | None = None  # (spec, tol) -> verdict
+    reflection: Callable[..., bool] | None = None  # spec -> verdict
     note: Callable[[tuple[float, ...]], str] | None = None  # biharmonic t -> note
 
 
@@ -160,11 +164,11 @@ _R19 = np.sqrt(19.0)
 _R211 = np.sqrt(211.0)
 
 ACTIONS = {
-    record.name: record
+    record.action_type: record
     for record in (
         ActionRecord(
-            name="II", ambient="g2", h="so4_g2", k="su3", einstein_constant=8.0,
-            geodesic=(1, -1, 0), section=(2, -1, -1),
+            action_type="II", ambient_name="g2", h_name="so4_g2", k_name="su3",
+            einstein_constant=8.0, geodesic=(1, -1, 0), section=(2, -1, -1),
             t_range=(0.0, _HALF_PI), section_ratio=2.0, singular_ts=(0.0, _HALF_PI),
             spectrum=_spectrum_ii,
             mean_curvature=lambda t: (4 * np.tan(t) - 6 * _cot(t)) / _R6,
@@ -177,8 +181,8 @@ ACTIONS = {
             ),
         ),
         ActionRecord(
-            name="III", ambient="so7", h="g2", k="g2", einstein_constant=10.0,
-            geodesic=(1, 0, 1), section=(1, 1, 1),
+            action_type="III", ambient_name="so7", h_name="g2", k_name="g2",
+            einstein_constant=10.0, geodesic=(1, 0, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0,),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 6),
             mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
@@ -189,8 +193,8 @@ ACTIONS = {
             reflection=_reflection_iii,
         ),
         ActionRecord(
-            name="IV", ambient="so7", h="so3_so4", k="g2", einstein_constant=10.0,
-            geodesic=(1, 0, 0), section=(1, 1, 1),
+            action_type="IV", ambient_name="so7", h_name="so3_so4", k_name="g2",
+            einstein_constant=10.0, geodesic=(1, 0, 0), section=(1, 1, 1),
             t_range=(0.0, np.pi), section_ratio=3.0, singular_ts=(0.0, np.pi),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t / 2), 3) + _pair(-np.tan(t / 2), 3),
             mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
@@ -204,8 +208,8 @@ ACTIONS = {
             reflection=_reflection_iv,
         ),
         ActionRecord(
-            name="V", ambient="so7", h="u3", k="g2", einstein_constant=10.0,
-            geodesic=(0, 1, 1), section=(1, 1, 1),
+            action_type="V", ambient_name="so7", h_name="u3", k_name="g2",
+            einstein_constant=10.0, geodesic=(0, 1, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0, _HALF_PI),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 5) + _pair(-np.tan(t), 1),
             mean_curvature=lambda t: -np.sqrt(3.0) * (_cot(2 * t) + 2 * _cot(t)),

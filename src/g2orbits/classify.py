@@ -47,21 +47,22 @@ class StructuralMismatchError(ValueError):
         self.reference = reference
 
 
-def principal_interval(spec: ActionSpec, clip: float = 1e-4) -> tuple[float, float]:
-    """The scanned parameter window, clipped away from singular endpoints."""
+def principal_interval(spec: ActionSpec) -> tuple[float, float]:
+    """The scanned parameter window, clipped 1e-4 away from singular
+    endpoints."""
     lo, hi = spec.t_range
     if any(abs(lo - s) < 1e-12 for s in spec.singular_ts):
-        lo += clip
+        lo += 1e-4
     if any(abs(hi - s) < 1e-12 for s in spec.singular_ts):
-        hi -= clip
+        hi -= 1e-4
     return lo, hi
 
 
 def _check_in_range(action_type: str, t: float):
-    spec = action_spec(action_type)
-    lo, hi = spec.t_range
+    record = action_record(action_type)
+    lo, hi = record.t_range
     inside = lo < t <= hi
-    near_singular = any(abs(t - s) < 1e-9 for s in spec.singular_ts)
+    near_singular = any(abs(t - s) < 1e-9 for s in record.singular_ts)
     if not inside or near_singular:
         raise ValueError(
             f"t={t} is outside the principal range of type {action_type}"
@@ -99,8 +100,8 @@ REFERENCE_AUSTERE = {ty: r.austere for ty, r in ACTIONS.items()}
 REFERENCE_BIHARMONIC_T = {ty: r.biharmonic_t for ty, r in ACTIONS.items()}
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    while b - a > xtol:
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
+    while b - a > 1e-12:
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
@@ -112,8 +113,7 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_roots(f, lo: float, hi: float, samples: int, xtol: float = 1e-12,
-                zero_tol: float = 1e-9) -> list[float]:
+def _scan_roots(f, lo: float, hi: float, samples: int) -> list[float]:
     ts = np.linspace(lo, hi, samples)
     vals = f(ts)
     roots: list[float] = []
@@ -123,10 +123,10 @@ def _scan_roots(f, lo: float, hi: float, samples: int, xtol: float = 1e-12,
             roots.append(r)
 
     for i, (t, v) in enumerate(zip(ts, vals)):
-        if abs(v) < zero_tol:
+        if abs(v) < 1e-9:
             push(float(t))
-        elif i + 1 < len(ts) and abs(vals[i + 1]) >= zero_tol and v * vals[i + 1] < 0:
-            push(_bisect(f, float(ts[i]), float(ts[i + 1]), v, vals[i + 1], xtol))
+        elif i + 1 < len(ts) and abs(vals[i + 1]) >= 1e-9 and v * vals[i + 1] < 0:
+            push(_bisect(f, float(ts[i]), float(ts[i + 1]), v, vals[i + 1]))
     return sorted(roots)
 
 
@@ -212,15 +212,14 @@ def classify_type(action_type: str) -> ClassificationResult:
         orbit_frame(spec, spec.t_range[1]).orbit_dim,
     )
 
-    record = action_record(action_type)
     notes: list[str] = []
-    ref_min = record.minimal_t
+    ref_min = spec.minimal_t
     if abs(minimal_t - ref_min) > 1e-6:
         notes.append(
             f"minimal parameter {minimal_t!r} deviates from the closed-form "
             f"value {ref_min!r}"
         )
-    ref_bi = record.biharmonic_t
+    ref_bi = spec.biharmonic_t
     if len(biharmonic) != len(ref_bi) or any(
         abs(a - b) > 1e-6 for a, b in zip(biharmonic, ref_bi)
     ):
@@ -228,8 +227,8 @@ def classify_type(action_type: str) -> ClassificationResult:
             f"biharmonic parameters {biharmonic!r} deviate from the "
             f"closed-form values {ref_bi!r}"
         )
-    if record.note is not None:
-        notes.append(record.note(biharmonic))
+    if spec.note is not None:
+        notes.append(spec.note(biharmonic))
 
     return ClassificationResult(
         action_type=action_type,

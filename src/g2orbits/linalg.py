@@ -195,19 +195,19 @@ def orthonormalize(generators, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> S
     return Subspace(_from_rows(vt[:dim]), int(dim))
 
 
-def span_coords(x: np.ndarray, sub: Subspace) -> np.ndarray:
-    """Coefficients of the projection of ``x`` onto ``sub``."""
-    if sub.dim == 0:
-        return np.zeros(0)
-    return np.einsum("ab,iba->i", x, sub.basis) * -0.5
+def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The inner products <x, b_i> with the matrices b_i of ``basis``; for
+    an orthonormal basis, the coefficients of the projection of ``x`` onto
+    its span."""
+    return -0.5 * np.einsum("ab,iba->i", x, basis)
 
 
-def complement(sub, ambient, tol: float = 1e-9) -> Subspace:
+def complement(sub, ambient) -> Subspace:
     """Orthogonal complement of ``sub`` inside ``ambient``.
 
     Both arguments need orthonormal ``basis`` / ``dim`` attributes.  Raises
     :class:`NotASubspaceError` when a basis vector of ``sub`` sticks out of
-    ``ambient`` by more than ``tol``.
+    ``ambient`` by more than 1e-9, which is also the rank threshold.
     """
     arows = _to_rows(np.asarray(ambient.basis, dtype=float))
     if getattr(sub, "dim", 0) == 0:
@@ -215,12 +215,12 @@ def complement(sub, ambient, tol: float = 1e-9) -> Subspace:
     srows = _to_rows(np.asarray(sub.basis, dtype=float))
     overshoot = srows - (srows @ arows.T) @ arows
     worst = float(np.linalg.norm(overshoot, axis=1).max())
-    if worst > tol:
+    if worst > 1e-9:
         raise NotASubspaceError(
             f"claimed subspace leaves the ambient space (residual {worst:.3e})"
         )
     residual = arows - (arows @ srows.T) @ srows
-    out = orthonormalize(_from_rows(residual), rel_tol=0.0, abs_tol=tol)
+    out = orthonormalize(_from_rows(residual), rel_tol=0.0, abs_tol=1e-9)
     expected = ambient.dim - sub.dim
     if out.dim != expected:
         raise ArithmeticError(

@@ -53,13 +53,12 @@ def cayley_tables(lines=FANO_LINES):
 SIGN, INDEX = cayley_tables()
 
 
-def mul_tensor(lines=FANO_LINES) -> np.ndarray:
+def mul_tensor() -> np.ndarray:
     """Structure tensor M with (xy)_k = sum_{i,j} M[i, j, k] x_i y_j."""
-    sign, index = cayley_tables(lines)
     tensor = np.zeros((8, 8, 8))
     for i in range(8):
         for j in range(8):
-            tensor[i, j, index[i, j]] = sign[i, j]
+            tensor[i, j, INDEX[i, j]] = SIGN[i, j]
     return tensor
 
 

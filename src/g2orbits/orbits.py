@@ -27,20 +27,21 @@ Orbit frames, shape operators in any normal, spectrum reports, and
 :func:`mean_curvature` and :func:`shape_norm_sq` over whole arrays of t
 (block by block) all come from this kernel.
 
-The per-type data (groups, geodesic and section generators, parameter
-ranges) come from the records of :mod:`g2orbits.actions`; the unit normal
-at a principal parameter is oriented along the section generator, and
-t = section_ratio * s.
+An :class:`ActionSpec` is the record of its type from
+:mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
+ranges, closed forms) together with the subalgebras and generators built
+from it; the unit normal at a principal parameter is oriented along the
+section generator, and t = section_ratio * s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .actions import ACTIONS, action_record
+from .actions import ACTIONS, ActionRecord, action_record
 from .linalg import (
     NotASubspaceError,
     Subspace,
@@ -62,6 +63,9 @@ ACTION_TYPES = tuple(ACTIONS)
 #: or |A|^2 before the next one starts, which bounds the working memory.
 FRAME_BLOCK = 32
 
+#: Principal-orbit reports refuse parameters this close to a singular one.
+SINGULAR_GUARD = 1e-6
+
 
 class SingularOrbitError(RuntimeError):
     """The orbit at the requested parameter is not a hypersurface."""
@@ -71,24 +75,19 @@ class SingularOrbitError(RuntimeError):
         self.codimension = codimension
 
 
-@dataclass(frozen=True)
-class ActionSpec:
-    """Static data of one action type.
+@dataclass(frozen=True, kw_only=True)
+class ActionSpec(ActionRecord):
+    """The record of one action type with its geometry built.
 
     The last four fields describe the ambient algebra in the orthonormal
     coordinates (under inner_g, basis e_a) in which frames are computed.
     """
 
-    action_type: str
     ambient: NamedSubalgebra
-    einstein_constant: float
     h: NamedSubalgebra
     k: NamedSubalgebra
     geodesic_generator: np.ndarray
     section_generator: np.ndarray
-    t_range: tuple[float, float]
-    section_ratio: float
-    singular_ts: tuple[float, ...]
     ambient_rows: np.ndarray  # (d, 64), the e_a as rows
     k_coords: np.ndarray  # (k.dim, d), coordinates of the basis of k
     unit_section: np.ndarray  # (d,), coordinates of the unit section generator xi
@@ -99,23 +98,19 @@ class ActionSpec:
 def action_spec(action_type: str) -> ActionSpec:
     """The configuration of one of the action types II, III, IV, V."""
     record = action_record(action_type)
-    ambient = named_subalgebra(record.ambient)
-    k = named_subalgebra(record.k)
+    ambient = named_subalgebra(record.ambient_name)
+    k = named_subalgebra(record.k_name)
     section = v_elem(4, *record.section)
     rows = _to_rows(ambient.basis)
     unit_section = _to_rows(section[None])[0] @ rows.T
     unit_section /= np.linalg.norm(unit_section)
     return ActionSpec(
-        action_type=record.name,
+        **{field.name: getattr(record, field.name) for field in fields(record)},
         ambient=ambient,
-        einstein_constant=record.einstein_constant,
-        h=named_subalgebra(record.h),
+        h=named_subalgebra(record.h_name),
         k=k,
         geodesic_generator=v_elem(4, *record.geodesic),
         section_generator=section,
-        t_range=record.t_range,
-        section_ratio=record.section_ratio,
-        singular_ts=record.singular_ts,
         ambient_rows=rows,
         k_coords=_to_rows(k.basis) @ rows.T,
         unit_section=unit_section,
@@ -262,7 +257,6 @@ def shape_operator(
     t: float,
     normal: np.ndarray,
     frame: OrbitFrame | None = None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Shape operator of the orbit through g(t) in the direction ``normal``.
 
@@ -272,15 +266,15 @@ def shape_operator(
     """
     if frame is None:
         frame = orbit_frame(spec, t)
-    if abs(inner_g(normal, normal) - 1.0) > tol:
+    if abs(inner_g(normal, normal) - 1.0) > 1e-9:
         raise ValueError("normal vector is not unit length")
     row = _to_rows(normal[None])[0]
     coords = row @ spec.ambient_rows.T
     outside = float(np.linalg.norm(row - coords @ spec.ambient_rows))
-    if outside > tol:
+    if outside > 1e-9:
         raise ValueError(f"normal leaves the ambient algebra (residual {outside:.3e})")
     tangency = float(np.abs(frame.tangent_rows @ coords).max(initial=0.0))
-    if tangency > tol:
+    if tangency > 1e-9:
         raise ValueError(f"normal is not orthogonal to the tangent space ({tangency:.3e})")
     ad = _ad_matrix(spec.ambient.basis, coords)
     return _shapes(frame.tangent_rows[None], ad, frame.lift_rows[None], [t])[0]
@@ -312,13 +306,14 @@ class SpectrumReport:
     cluster_ambiguous: bool
 
 
-def _require_principal_parameter(spec: ActionSpec, t, guard: float = 1e-6):
+def _require_principal_parameter(spec: ActionSpec, t):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     distance = np.min(np.abs(ts[:, None] - np.array(spec.singular_ts)), axis=1)
-    if np.any(distance < guard):
+    near = distance < SINGULAR_GUARD
+    if np.any(near):
         raise SingularOrbitError(
-            f"type {spec.action_type}: t={ts[np.argmax(distance < guard)]} is within "
-            f"{guard} of a singular parameter",
+            f"type {spec.action_type}: t={ts[np.argmax(near)]} is within "
+            f"{SINGULAR_GUARD} of a singular parameter",
             codimension=-1,
         )
 
@@ -395,15 +390,14 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
     )
 
 
-def verify_reflection(spec: ActionSpec, tol: float = 1e-9) -> bool:
+def verify_reflection(spec: ActionSpec) -> bool:
     """Check the explicit orbit-reversing isometry of types III and IV.
 
     The isometry and its certificate are part of the type's record; see
     :mod:`g2orbits.actions`.
     """
-    check = action_record(spec.action_type).reflection
-    if check is None:
+    if spec.reflection is None:
         raise ValueError(
             f"no reflection isometry is configured for action type {spec.action_type}"
         )
-    return check(spec, tol)
+    return spec.reflection(spec)

@@ -1,16 +1,17 @@
 """Triality automorphisms of so(8) and the subalgebras they carve out.
 
-The second basis F_ij of so(8) is given by an explicit table of
-half-integer combinations of four G matrices each.  The involutions
+The second basis of so(8) comes from octonion left multiplication L_a:
+F_ij = 1/2 L_{e_i} L_{e_j} for i < j (L_{e_0} is the identity, so F_0j is
+1/2 L_{e_j}), the classical construction of triality (Baez, "The
+Octonions", Bull. AMS 39, 2002).  The involutions
 
     alpha(X) = conj . X . conj        (conjugation of octonion arguments)
     beta(G_ij) = F_ij                 (extended linearly)
     gamma = beta . alpha
 
 satisfy alpha^2 = beta^2 = id, preserve brackets, and cut out so(7) as the
-fixed set of alpha and g2 as the joint fixed set of beta and gamma.  The
-table is validated globally at import-test time by exactly those
-properties rather than entry by entry.
+fixed set of alpha and g2 as the joint fixed set of beta and gamma; the
+algebra self-checks verify exactly those properties.
 
 For X in so(7), the pair (exp tX, exp t gamma(X)) multiplies octonions
 compatibly: (g1 a)(g2 b) = g2(ab).  :class:`SpinElement` packages such
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Subspace,
     bracket,
     expm,
     g_basis,
@@ -36,40 +36,11 @@ from .linalg import (
 )
 from .octonion import MUL_TENSOR, SIGN, INDEX
 
-#: F_ij = (1/2) * sum of signed G matrices, one row per index pair.
-F_ROWS = {
-    (0, 1): ((+1, (0, 1)), (+1, (2, 3)), (+1, (4, 5)), (+1, (6, 7))),
-    (2, 3): ((+1, (0, 1)), (+1, (2, 3)), (-1, (4, 5)), (-1, (6, 7))),
-    (4, 5): ((+1, (0, 1)), (-1, (2, 3)), (+1, (4, 5)), (-1, (6, 7))),
-    (6, 7): ((+1, (0, 1)), (-1, (2, 3)), (-1, (4, 5)), (+1, (6, 7))),
-    (0, 2): ((+1, (0, 2)), (-1, (1, 3)), (-1, (4, 6)), (+1, (5, 7))),
-    (1, 3): ((-1, (0, 2)), (+1, (1, 3)), (-1, (4, 6)), (+1, (5, 7))),
-    (4, 6): ((-1, (0, 2)), (-1, (1, 3)), (+1, (4, 6)), (+1, (5, 7))),
-    (5, 7): ((+1, (0, 2)), (+1, (1, 3)), (+1, (4, 6)), (+1, (5, 7))),
-    (0, 3): ((+1, (0, 3)), (+1, (1, 2)), (+1, (4, 7)), (+1, (5, 6))),
-    (1, 2): ((+1, (0, 3)), (+1, (1, 2)), (-1, (4, 7)), (-1, (5, 6))),
-    (4, 7): ((+1, (0, 3)), (-1, (1, 2)), (+1, (4, 7)), (-1, (5, 6))),
-    (5, 6): ((+1, (0, 3)), (-1, (1, 2)), (-1, (4, 7)), (+1, (5, 6))),
-    (0, 4): ((+1, (0, 4)), (-1, (1, 5)), (+1, (2, 6)), (-1, (3, 7))),
-    (1, 5): ((-1, (0, 4)), (+1, (1, 5)), (+1, (2, 6)), (-1, (3, 7))),
-    (2, 6): ((+1, (0, 4)), (+1, (1, 5)), (+1, (2, 6)), (+1, (3, 7))),
-    (3, 7): ((-1, (0, 4)), (-1, (1, 5)), (+1, (2, 6)), (+1, (3, 7))),
-    (0, 5): ((+1, (0, 5)), (+1, (1, 4)), (-1, (2, 7)), (-1, (3, 6))),
-    (1, 4): ((+1, (0, 5)), (+1, (1, 4)), (+1, (2, 7)), (+1, (3, 6))),
-    (2, 7): ((-1, (0, 5)), (+1, (1, 4)), (+1, (2, 7)), (-1, (3, 6))),
-    (3, 6): ((-1, (0, 5)), (+1, (1, 4)), (-1, (2, 7)), (+1, (3, 6))),
-    (0, 6): ((+1, (0, 6)), (-1, (1, 7)), (-1, (2, 4)), (+1, (3, 5))),
-    (1, 7): ((-1, (0, 6)), (+1, (1, 7)), (-1, (2, 4)), (+1, (3, 5))),
-    (2, 4): ((-1, (0, 6)), (-1, (1, 7)), (+1, (2, 4)), (+1, (3, 5))),
-    (3, 5): ((+1, (0, 6)), (+1, (1, 7)), (+1, (2, 4)), (+1, (3, 5))),
-    (0, 7): ((+1, (0, 7)), (+1, (1, 6)), (+1, (2, 5)), (+1, (3, 4))),
-    (1, 6): ((+1, (0, 7)), (+1, (1, 6)), (-1, (2, 5)), (-1, (3, 4))),
-    (2, 5): ((+1, (0, 7)), (-1, (1, 6)), (+1, (2, 5)), (-1, (3, 4))),
-    (3, 4): ((+1, (0, 7)), (-1, (1, 6)), (-1, (2, 5)), (+1, (3, 4))),
-}
-
 G_PAIRS = tuple((i, j) for i in range(8) for j in range(i + 1, 8))
 _G_STACK = np.stack([g_basis(i, j) for i, j in G_PAIRS])
+
+#: Left multiplications: _LEFT[i] @ y = e_i y, so _LEFT[0] is the identity.
+_LEFT = np.swapaxes(MUL_TENSOR, 1, 2)
 
 
 def f_basis(i: int, j: int) -> np.ndarray:
@@ -78,10 +49,7 @@ def f_basis(i: int, j: int) -> np.ndarray:
         raise ValueError(f"invalid F basis indices ({i}, {j})")
     if i > j:
         return -f_basis(j, i)
-    m = np.zeros((8, 8))
-    for sgn, (a, b) in F_ROWS[(i, j)]:
-        m += 0.5 * sgn * g_basis(a, b)
-    return m
+    return 0.5 * _LEFT[i] @ _LEFT[j]
 
 
 _F_STACK = np.stack([f_basis(i, j) for i, j in G_PAIRS])
@@ -96,8 +64,7 @@ def alpha(x: np.ndarray) -> np.ndarray:
 
 def beta(x: np.ndarray) -> np.ndarray:
     """Linear extension of G_ij -> F_ij in the G coordinate expansion."""
-    coords = -0.5 * np.einsum("ab,iba->i", x, _G_STACK)
-    return np.einsum("i,iab->ab", coords, _F_STACK)
+    return np.einsum("i,iab->ab", span_coords(x, _G_STACK), _F_STACK)
 
 
 def gamma(x: np.ndarray) -> np.ndarray:
@@ -112,10 +79,6 @@ class NamedSubalgebra:
     name: str
     basis: np.ndarray  # shape (dim, 8, 8)
     dim: int
-
-    @property
-    def subspace(self) -> Subspace:
-        return Subspace(self.basis, self.dim)
 
 
 SUBALGEBRA_DIMS = {
@@ -151,15 +114,11 @@ def _subalgebra_generators(name: str) -> list[np.ndarray]:
 def bracket_closure_defect(sub) -> float:
     """Largest residual of a basis bracket outside the spanned subspace."""
     basis = np.asarray(sub.basis, dtype=float)
-    if len(basis) == 0:
-        return 0.0
-    space = Subspace(basis, len(basis))
     worst = 0.0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             b = bracket(basis[i], basis[j])
-            coords = span_coords(b, space)
-            resid = b - np.einsum("i,iab->ab", coords, basis)
+            resid = b - np.einsum("i,iab->ab", span_coords(b, basis), basis)
             worst = max(worst, norm_g(resid))
     return worst
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from g2orbits.actions import ACTIONS, ActionRecord
 from g2orbits.classify import principal_interval
 from g2orbits.linalg import g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
@@ -45,6 +46,12 @@ class TestActionSpecs:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             action_spec("VI")
+
+    def test_spec_carries_its_record(self):
+        for ty in ALL_TYPES:
+            spec = action_spec(ty)
+            for field in dataclasses.fields(ActionRecord):
+                assert getattr(spec, field.name) is getattr(ACTIONS[ty], field.name), field.name
 
 
 class TestOrbitDimensions:

@@ -41,6 +41,15 @@ class TestFBasis:
             g_basis(0, 1) - g_basis(2, 3) + g_basis(4, 5) - g_basis(6, 7),
         )
 
+    def test_every_row_is_a_product_of_left_multiplications(self):
+        # 2 F_ij e_k = e_i (e_j e_k), exactly, for all 28 pairs i < j.
+        for i, j in G_PAIRS:
+            for k in range(8):
+                e_i, e_j, e_k = basis_element(i), basis_element(j), basis_element(k)
+                assert np.array_equal(
+                    2 * f_basis(i, j) @ e_k, oct_mul(e_i, oct_mul(e_j, e_k))
+                ), (i, j, k)
+
     def test_antisymmetric_in_indices(self):
         assert np.array_equal(f_basis(5, 2), -f_basis(2, 5))
 
