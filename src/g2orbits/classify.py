@@ -200,10 +200,8 @@ class ClassificationResult:
     discrepancy_notes: tuple[str, ...]
 
 
-@lru_cache(maxsize=None)
-def classify_type(action_type: str) -> ClassificationResult:
-    """Classification of type ``action_type`` (results are cached)."""
-    spec = action_spec(action_type)
+def classify(spec: ActionSpec) -> ClassificationResult:
+    """Classification of the action described by ``spec``."""
     minimal_t = find_minimal(spec)
     report = spectrum_report(spec, minimal_t)
     biharmonic = tuple(find_biharmonic(spec))
@@ -231,7 +229,7 @@ def classify_type(action_type: str) -> ClassificationResult:
         notes.append(spec.note(biharmonic))
 
     return ClassificationResult(
-        action_type=action_type,
+        action_type=spec.action_type,
         minimal_t=minimal_t,
         minimal_s=minimal_t / spec.section_ratio,
         minimal_austere=report.austere,
@@ -244,6 +242,7 @@ def classify_type(action_type: str) -> ClassificationResult:
     )
 
 
-def classify(spec: ActionSpec) -> ClassificationResult:
-    """Classification of the action described by ``spec``."""
-    return classify_type(spec.action_type)
+@lru_cache(maxsize=None)
+def classify_type(action_type: str) -> ClassificationResult:
+    """Classification of type ``action_type`` (results are cached)."""
+    return classify(action_spec(action_type))

@@ -75,9 +75,7 @@ def _meta(command: str, **extra) -> dict:
 
 
 def _resolve_t(args, spec) -> float:
-    if (args.t is None) == (args.s is None):
-        raise SystemExit("exactly one of --t / --s is required")
-    t = float(args.t) if args.t is not None else float(args.s) * spec.section_ratio
+    t = args.t if args.t is not None else args.s * spec.section_ratio
     lo, hi = spec.t_range
     if not lo <= t <= hi:  # also rejects nan
         raise ValueError(
@@ -232,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = command("orbit", cmd_orbit, "report one principal orbit", type_required=True)
-    p.add_argument("--t", type=float, default=None, help="geodesic parameter")
-    p.add_argument("--s", type=float, default=None,
-                   help="section parameter (t = section_ratio * s)")
+    t_or_s = p.add_mutually_exclusive_group(required=True)
+    t_or_s.add_argument("--t", type=float, help="geodesic parameter")
+    t_or_s.add_argument("--s", type=float, help="section parameter (t = section_ratio * s)")
 
     p = command("scan", cmd_scan, "sweep the principal parameter range", type_required=True)
     p.add_argument("--samples", type=int, default=200)

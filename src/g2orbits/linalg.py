@@ -2,7 +2,8 @@
 
 Provides the standard basis G_ij of so(8) acting on octonion coefficient
 vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
-traceless members span the derivation algebra g2, the matrix bracket, the
+traceless members span the derivation algebra g2 (their G terms are derived
+from the octonion sign and index tables), the matrix bracket, the
 invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential at one
 parameter or a whole array of them, orthonormal bases of spans from
 LAPACK's singular value decomposition (the numerical rank counts the
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .octonion import INDEX, SIGN
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -39,17 +42,14 @@ def g_basis(i: int, j: int) -> np.ndarray:
     return m
 
 
+_IMAGINARY_PAIRS = [(a, b) for a in range(1, 8) for b in range(a + 1, 8)]
+
 #: Signed index pairs defining V_i(lambda, mu, nu) as a combination of three
 #: G matrices: the entry for axis i lists (sign, (a, b)) for the lambda, mu
-#: and nu terms in that order.
+#: and nu terms in that order, read off the octonion product as the pairs
+#: 0 < a < b with e_a e_b = sign * e_i, in increasing order.
 V_TERMS = {
-    1: ((+1, (2, 3)), (+1, (4, 5)), (+1, (6, 7))),
-    2: ((-1, (1, 3)), (-1, (4, 6)), (+1, (5, 7))),
-    3: ((+1, (1, 2)), (+1, (4, 7)), (+1, (5, 6))),
-    4: ((-1, (1, 5)), (+1, (2, 6)), (-1, (3, 7))),
-    5: ((+1, (1, 4)), (-1, (2, 7)), (-1, (3, 6))),
-    6: ((-1, (1, 7)), (-1, (2, 4)), (+1, (3, 5))),
-    7: ((+1, (1, 6)), (+1, (2, 5)), (+1, (3, 4))),
+    i: tuple((int(SIGN[p]), p) for p in _IMAGINARY_PAIRS if INDEX[p] == i) for i in range(1, 8)
 }
 
 
@@ -198,8 +198,8 @@ def orthonormalize(generators, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> S
 def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The inner products <x, b_i> with the matrices b_i of ``basis``; for
     an orthonormal basis, the coefficients of the projection of ``x`` onto
-    its span."""
-    return -0.5 * np.einsum("ab,iba->i", x, basis)
+    its span.  For a stack ``x`` of matrices, the coordinates come last."""
+    return -0.5 * np.einsum("...ab,iba->...i", x, basis)
 
 
 def complement(sub, ambient) -> Subspace:

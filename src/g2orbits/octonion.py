@@ -5,9 +5,12 @@ Multiplication is generated by seven oriented index triples: each triple
 with e_i^2 = -1 for 1 <= i <= 7, anticommutativity of distinct imaginary
 units, and e0 as the two-sided unit.  The seven unordered triples partition
 the 21 index pairs of {1, ..., 7}; the cyclic orientations in FANO_LINES
-are the ones under which the V-element formulas of :mod:`g2orbits.linalg`
-are sign-for-sign consistent with this product (the orientation search in
-the test suite singles them out).
+are the ones under which the V-element bracket rules of
+:mod:`g2orbits.linalg` hold exactly (the orientation search in the test
+suite singles them out).  Every other table of the algebra layer is read
+off the sign and index tables SIGN and INDEX: the structure tensor
+MUL_TENSOR here, the V-element terms in :mod:`g2orbits.linalg` and the
+left multiplications in :mod:`g2orbits.triality`.
 
 Octonions are plain numpy arrays of shape (8,); index i holds the
 coefficient of e_i.  All functions are pure.
@@ -37,12 +40,9 @@ def cayley_tables(lines=FANO_LINES):
     """
     sign = np.zeros((8, 8), dtype=int)
     index = np.zeros((8, 8), dtype=int)
-    for i in range(8):
-        sign[0, i] = sign[i, 0] = 1
-        index[0, i] = index[i, 0] = i
-    for i in range(1, 8):
-        sign[i, i] = -1
-        index[i, i] = 0
+    sign[0] = sign[:, 0] = 1
+    index[0] = index[:, 0] = np.arange(8)
+    sign[np.arange(1, 8), np.arange(1, 8)] = -1
     for i, j, k in lines:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             sign[a, b], index[a, b] = 1, c
@@ -52,17 +52,10 @@ def cayley_tables(lines=FANO_LINES):
 
 SIGN, INDEX = cayley_tables()
 
-
-def mul_tensor() -> np.ndarray:
-    """Structure tensor M with (xy)_k = sum_{i,j} M[i, j, k] x_i y_j."""
-    tensor = np.zeros((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            tensor[i, j, INDEX[i, j]] = SIGN[i, j]
-    return tensor
-
-
-MUL_TENSOR = mul_tensor()
+#: Structure tensor: (xy)_k = sum_{i,j} MUL_TENSOR[i, j, k] x_i y_j, that is
+#: MUL_TENSOR[i, j, INDEX[i, j]] = SIGN[i, j] and zero elsewhere.
+MUL_TENSOR = np.zeros((8, 8, 8))
+MUL_TENSOR[np.arange(8)[:, None], np.arange(8), INDEX] = SIGN
 
 _CONJ_SIGNS = np.array([1.0, -1, -1, -1, -1, -1, -1, -1])
 

@@ -11,7 +11,9 @@ Octonions", Bull. AMS 39, 2002).  The involutions
 
 satisfy alpha^2 = beta^2 = id, preserve brackets, and cut out so(7) as the
 fixed set of alpha and g2 as the joint fixed set of beta and gamma; the
-algebra self-checks verify exactly those properties.
+algebra self-checks verify exactly those properties.  The named
+subalgebras come from one table, SUBALGEBRAS, of dimensions and
+generators; their bracket closure is checked on all basis pairs at once.
 
 For X in so(7), the pair (exp tX, exp t gamma(X)) multiplies octonions
 compatibly: (g1 a)(g2 b) = g2(ab).  :class:`SpinElement` packages such
@@ -81,46 +83,29 @@ class NamedSubalgebra:
     dim: int
 
 
-SUBALGEBRA_DIMS = {
-    "g2": 14,
-    "su3": 8,
-    "so4_g2": 6,
-    "u3": 9,
-    "so3_so4": 9,
-    "so7": 21,
+def _traceless(i: int) -> list[np.ndarray]:
+    return [v_elem(i, 1, -1, 0), v_elem(i, 0, 1, -1)]
+
+
+#: The named subalgebras: name -> (dimension, generators).  The generator
+#: order fixes the orthonormal basis that orthonormalize returns.
+SUBALGEBRAS = {
+    "g2": (14, [m for i in range(1, 8) for m in _traceless(i)]),
+    "su3": (8, _traceless(1) + [v_elem(i, 0, 1, -1) for i in range(2, 8)]),
+    "so4_g2": (6, [m for i in (1, 2, 3) for m in _traceless(i)]),
+    "u3": (9, [v_elem(1, *c) for c in np.eye(3)] + [v_elem(i, 0, 1, -1) for i in range(2, 8)]),
+    "so3_so4": (9, [g_basis(i, j) for i, j in G_PAIRS if 0 < i < j < 4 or i >= 4]),
+    "so7": (21, [g_basis(i, j) for i, j in G_PAIRS if i > 0]),
 }
-
-
-def _subalgebra_generators(name: str) -> list[np.ndarray]:
-    traceless = lambda i: [v_elem(i, 1, -1, 0), v_elem(i, 0, 1, -1)]
-    if name == "g2":
-        return [m for i in range(1, 8) for m in traceless(i)]
-    if name == "su3":
-        return traceless(1) + [v_elem(i, 0, 1, -1) for i in range(2, 8)]
-    if name == "so4_g2":
-        return [m for i in (1, 2, 3) for m in traceless(i)]
-    if name == "u3":
-        full_v1 = [v_elem(1, 1, 0, 0), v_elem(1, 0, 1, 0), v_elem(1, 0, 0, 1)]
-        return full_v1 + [v_elem(i, 0, 1, -1) for i in range(2, 8)]
-    if name == "so3_so4":
-        low = [g_basis(i, j) for i in (1, 2) for j in range(i + 1, 4)]
-        high = [g_basis(i, j) for i in (4, 5, 6) for j in range(i + 1, 8)]
-        return low + high
-    if name == "so7":
-        return [g_basis(i, j) for i in range(1, 8) for j in range(i + 1, 8)]
-    raise ValueError(f"unknown subalgebra name {name!r}")
 
 
 def bracket_closure_defect(sub) -> float:
     """Largest residual of a basis bracket outside the spanned subspace."""
     basis = np.asarray(sub.basis, dtype=float)
-    worst = 0.0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            b = bracket(basis[i], basis[j])
-            resid = b - np.einsum("i,iab->ab", span_coords(b, basis), basis)
-            worst = max(worst, norm_g(resid))
-    return worst
+    i, j = np.triu_indices(len(basis), 1)
+    brackets = bracket(basis[i], basis[j])
+    resid = brackets - np.einsum("ni,iab->nab", span_coords(brackets, basis), basis)
+    return max(map(norm_g, resid), default=0.0)
 
 
 _SUBALGEBRA_CACHE: dict[str, NamedSubalgebra] = {}
@@ -129,14 +114,16 @@ _SUBALGEBRA_CACHE: dict[str, NamedSubalgebra] = {}
 def named_subalgebra(name: str) -> NamedSubalgebra:
     """Orthonormalized basis of one of the named subalgebras.
 
-    Valid names: g2, su3, so4_g2, u3, so3_so4, so7.  Closure under the
-    bracket and the expected dimension are verified on first construction.
+    Valid names are the keys of SUBALGEBRAS.  Closure under the bracket
+    and the expected dimension are verified on first construction.
     """
     cached = _SUBALGEBRA_CACHE.get(name)
     if cached is not None:
         return cached
-    sub = orthonormalize(_subalgebra_generators(name))
-    expected = SUBALGEBRA_DIMS[name]
+    if name not in SUBALGEBRAS:
+        raise ValueError(f"unknown subalgebra name {name!r}")
+    expected, generators = SUBALGEBRAS[name]
+    sub = orthonormalize(generators)
     if sub.dim != expected:
         raise ArithmeticError(f"{name}: rank {sub.dim}, expected {expected}")
     defect = bracket_closure_defect(sub)

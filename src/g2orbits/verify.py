@@ -2,10 +2,11 @@
 
 Each check returns a :class:`CheckResult`; :func:`run_all` bundles the
 groups the command line surface prints.  The identity groups mirror the
-load-bearing algebraic facts: the basis multiplication contract, the
-composition law, the bracket rules among the V subspaces, the zeta bracket
-rules, the triality involutions with their fixed subalgebras, and the
-named subalgebra dimensions with bracket closure.
+load-bearing algebraic facts: the basis multiplication contract on the
+8x8 table of the 64 basis products, the composition law, the bracket rules
+among the V subspaces, the zeta bracket rules, the triality involutions
+with their fixed subalgebras, and the named subalgebra dimensions with
+bracket closure.
 """
 
 from __future__ import annotations
@@ -32,30 +33,26 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def check_cayley_contract() -> CheckResult:
-    """All 64 basis products: unit, squares, anticommutativity, line partition."""
-    ok = True
-    for i in range(8):
-        ei = oc.basis_element(i)
-        ok &= np.array_equal(oc.oct_mul(oc.basis_element(0), ei), ei)
-        ok &= np.array_equal(oc.oct_mul(ei, oc.basis_element(0)), ei)
-    for i in range(1, 8):
-        ei = oc.basis_element(i)
-        ok &= np.array_equal(oc.oct_mul(ei, ei), -oc.basis_element(0))
-        for j in range(1, 8):
-            if i == j:
-                continue
-            pij = oc.oct_mul(ei, oc.basis_element(j))
-            pji = oc.oct_mul(oc.basis_element(j), ei)
-            ok &= np.array_equal(pij, -pji)
-            k = int(np.argmax(np.abs(pij)))
-            ok &= 1 <= k <= 7 and abs(abs(pij[k]) - 1.0) == 0.0
-    pairs = sorted(
-        tuple(sorted(p))
-        for line in oc.FANO_LINES
-        for p in ((line[0], line[1]), (line[1], line[2]), (line[0], line[2]))
-    )
-    ok &= pairs == sorted(
-        (i, j) for i in range(1, 8) for j in range(i + 1, 8)
+    """The 8x8 table of basis products e_i e_j from 64 products: unit,
+    squares, anticommutativity, one signed imaginary unit per product of
+    distinct imaginary units, and the line partition."""
+    eye = np.eye(8)
+    table = np.array([[oc.oct_mul(a, b) for b in eye] for a in eye])
+    imag = table[1:, 1:]
+    distinct = ~np.eye(7, dtype=bool)
+    products = imag[distinct]
+    # cover[a, b] counts the lines on which b follows a cyclically.
+    lines = np.array(oc.FANO_LINES)
+    cover = np.zeros((8, 8), dtype=int)
+    np.add.at(cover, (lines, np.roll(lines, -1, axis=1)), 1)
+    ok = (
+        np.array_equal(table[0], eye)
+        and np.array_equal(table[:, 0], eye)
+        and (np.diagonal(imag).T == -eye[0]).all()
+        and np.array_equal(products, -imag.transpose(1, 0, 2)[distinct])
+        and (np.count_nonzero(products[:, 1:], axis=1) == 1).all()
+        and (np.abs(products).sum(axis=1) == 1).all()
+        and np.array_equal(cover + cover.T, np.pad(1 - np.eye(7, dtype=int), (1, 0)))
     )
     return _result("octonion basis product contract", ok, "64 products + line partition")
 
@@ -76,9 +73,7 @@ def check_composition_law(rng) -> CheckResult:
 
 
 def _v_stack(axis: int, grid: np.ndarray) -> np.ndarray:
-    basis = np.stack(
-        [la.v_elem(axis, 1, 0, 0), la.v_elem(axis, 0, 1, 0), la.v_elem(axis, 0, 0, 1)]
-    )
+    basis = np.stack([la.v_elem(axis, *c) for c in np.eye(3)])
     return np.einsum("gp,pab->gab", grid, basis)
 
 
@@ -95,10 +90,7 @@ def check_v_bracket_rules() -> CheckResult:
             for sgn, p, q in term:
                 tensor[m, p, q] += sgn
         out_coeffs = np.einsum("gp,hq,mpq->ghm", grid, grid, tensor)
-        basis_k = np.stack(
-            [la.v_elem(k, 1, 0, 0), la.v_elem(k, 0, 1, 0), la.v_elem(k, 0, 0, 1)]
-        )
-        rhs = np.einsum("ghm,mab->ghab", out_coeffs, basis_k)
+        rhs = _v_stack(k, out_coeffs.reshape(-1, 3)).reshape(lhs.shape)
         exact &= np.array_equal(lhs, rhs)
     return _result(
         "V subspace bracket rules",
@@ -171,7 +163,7 @@ def check_subalgebras() -> CheckResult:
     """Dimensions and bracket closure of the six named subalgebras."""
     details = []
     ok = True
-    for name, expected in sorted(tri.SUBALGEBRA_DIMS.items()):
+    for name, (expected, _) in sorted(tri.SUBALGEBRAS.items()):
         sub = tri.named_subalgebra(name)
         defect = tri.bracket_closure_defect(sub)
         ok &= sub.dim == expected and defect < 1e-9

@@ -1,5 +1,6 @@
 """Closed-form spectra, root finding, and the classification bundle."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from g2orbits.classify import (
     REFERENCE_BIHARMONIC_T,
     REFERENCE_MINIMAL_T,
     StructuralMismatchError,
+    classify,
     classify_type,
     closed_form_spectrum,
     compare_spectra,
@@ -162,6 +164,12 @@ class TestRootFinding:
         spec = action_spec("III")
         assert find_minimal(spec) == classify_type("III").minimal_t
         assert tuple(find_biharmonic(spec)) == classify_type("III").biharmonic_t
+
+    def test_classify_reads_the_given_spec(self):
+        spec = dataclasses.replace(action_spec("II"), einstein_constant=9.0)
+        res = classify(spec)
+        assert res.biharmonic_t == tuple(find_biharmonic(spec))
+        assert res.biharmonic_t != classify_type("II").biharmonic_t
 
 
 class TestClassification:

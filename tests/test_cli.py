@@ -42,10 +42,12 @@ class TestOrbit:
         assert by_s == by_t
 
     def test_exactly_one_parameter_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as err:
             main(["orbit", "--type", "II"])
-        with pytest.raises(SystemExit):
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
             main(["orbit", "--type", "II", "--t", "0.4", "--s", "0.2"])
+        assert err.value.code == 2
 
     def test_text_report(self, capsys):
         assert main(["orbit", "--type", "III", "--t", "1.0"]) == 0

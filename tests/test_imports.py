@@ -1,9 +1,9 @@
-"""No engine module imports a name it never uses.
+"""No engine module, test module or demo imports a name it never uses.
 
 No linter is part of the toolchain, so this walks the syntax tree of each
 module under src/g2orbits/ (the package's __init__.py re-exports names and
-is skipped).  An import kept on purpose is marked ``# noqa: F401`` on its
-line.
+is skipped), tests/ and demos/.  An import kept on purpose is marked
+``# noqa: F401`` on its line.
 """
 
 import ast
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "g2orbits"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "g2orbits"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -19,6 +19,19 @@ from g2orbits.octonion import (
 
 E = [basis_element(i) for i in range(8)]
 
+#: The V-element terms as first entered by hand: for axis i, (sign, (a, b))
+#: for the lambda, mu and nu terms.  The oracle of the orientation search,
+#: independent of their derivation in g2orbits.linalg.
+SHIPPED_V_TERMS = {
+    1: ((+1, (2, 3)), (+1, (4, 5)), (+1, (6, 7))),
+    2: ((-1, (1, 3)), (-1, (4, 6)), (+1, (5, 7))),
+    3: ((+1, (1, 2)), (+1, (4, 7)), (+1, (5, 6))),
+    4: ((-1, (1, 5)), (+1, (2, 6)), (-1, (3, 7))),
+    5: ((+1, (1, 4)), (-1, (2, 7)), (-1, (3, 6))),
+    6: ((-1, (1, 7)), (-1, (2, 4)), (+1, (3, 5))),
+    7: ((+1, (1, 6)), (+1, (2, 5)), (+1, (3, 4))),
+}
+
 
 class TestBasisContract:
     def test_unit_element(self, rng):
@@ -163,7 +176,7 @@ class TestOrientationSearch:
     derive the V-element data the table induces and keep the assignments
     under which all nine bracket composition rules hold exactly.  The
     shipped table must survive, and it must be the unique survivor whose
-    induced V-elements coincide with the shipped V_TERMS.
+    induced V-elements coincide with SHIPPED_V_TERMS.
     """
 
     def _survivors(self):
@@ -193,6 +206,9 @@ class TestOrientationSearch:
         matching = [
             lines
             for lines, _, _, terms in survivors
-            if terms == {a: tuple(V_TERMS[a]) for a in V_TERMS}
+            if terms == SHIPPED_V_TERMS
         ]
         assert matching == [FANO_LINES]
+
+    def test_derived_v_terms_match_shipped_table(self):
+        assert V_TERMS == SHIPPED_V_TERMS

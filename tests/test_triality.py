@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from g2orbits.linalg import (
+    Subspace,
     bracket,
     expm,
     g_basis,
+    inner_g,
     norm_g,
     orthonormalize,
     v_elem,
@@ -111,11 +113,25 @@ class TestNamedSubalgebras:
         "name", ["g2", "su3", "so4_g2", "u3", "so3_so4", "so7"]
     )
     def test_bracket_closure(self, name):
-        assert bracket_closure_defect(named_subalgebra(name)) < 1e-9
+        sub = named_subalgebra(name)
+        # Reference: each basis bracket minus its projection, pair by pair.
+        pairwise = max(
+            norm_g(b - sum(inner_g(b, e) * e for e in sub.basis))
+            for k, x in enumerate(sub.basis)
+            for b in (bracket(x, y) for y in sub.basis[k + 1:])
+        )
+        defect = bracket_closure_defect(sub)
+        assert defect < 1e-9
+        assert abs(defect - pairwise) <= 4 * np.finfo(float).eps
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_subalgebra("e8")
+
+    def test_closure_defect_of_a_non_closed_span(self):
+        # [G01, G12] = -G02 is a unit vector orthogonal to both generators.
+        span = Subspace(np.stack([g_basis(0, 1), g_basis(1, 2)]), 2)
+        assert bracket_closure_defect(span) == 1.0
 
     def test_g2_fixed_by_beta_gamma(self):
         for b in named_subalgebra("g2").basis:
