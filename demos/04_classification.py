@@ -1,15 +1,18 @@
 """Tour of the classification layer: minimal, austere, biharmonic orbits.
 
-Run:  python demos/04_classification.py   (takes ~2 s: dense root scans)
+Run:  python demos/04_classification.py   (well under a second: one Chebyshev
+interpolant per root function and type)
 """
 
 from g2orbits import action_spec, classify, verify_reflection
 
-print("Classifying the four actions (dense |shape|^2 and mean-curvature scans)...")
+print("Classifying the four actions (Chebyshev interpolants of the weighted mean")
+print("curvature and |shape|^2, roots from the colleague matrix)...")
 print()
+results = {}
 for ty in ("II", "III", "IV", "V"):
     spec = action_spec(ty)
-    res = classify(spec)
+    res = results[ty] = classify(spec)
     print(f"type {ty}  (H = {spec.h.name}, K = {spec.k.name}, "
           f"ambient {spec.ambient.name}, Einstein constant {spec.einstein_constant:g})")
     print(f"  principal window      t in ({spec.t_range[0]:.6f}, {spec.t_range[1]:.6f}),"
@@ -25,10 +28,11 @@ for ty in ("II", "III", "IV", "V"):
         print(f"  proper biharmonic     t = {bt:.12f}  [delta {abs(bt - ref):.1e}]")
     for note in res.discrepancy_notes:
         print(f"  note: {note}")
+    for name, diag in res.root_diagnostics:
+        print(f"  root finder {name}       n = {diag.n}, tail {diag.tail:.1e}, "
+              f"midpoint defect {diag.defect:.1e}, {diag.evaluations} evaluations")
     print()
 
 print("Summary of austere verdicts at the minimal orbit:")
-verdicts = {ty: classify(action_spec(ty)).minimal_austere for ty in ("II", "III", "IV", "V")}
-print(" ", verdicts)
-print("Biharmonic root counts:",
-      {ty: len(classify(action_spec(ty)).biharmonic_t) for ty in ("II", "III", "IV", "V")})
+print(" ", {ty: res.minimal_austere for ty, res in results.items()})
+print("Biharmonic root counts:", {ty: len(res.biharmonic_t) for ty, res in results.items()})

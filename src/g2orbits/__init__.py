@@ -56,12 +56,14 @@ from .orbits import (
     shape_norm_sq,
     shape_operator,
     spectrum_report,
+    spectrum_reports,
     unit_normal,
     verify_reflection,
 )
 from .classify import (
     ClassificationResult,
     NoRootError,
+    RootDiagnostics,
     StructuralMismatchError,
     classify,
     classify_type,

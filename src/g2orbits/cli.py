@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -30,7 +31,7 @@ from .classify import (
     principal_interval,
     spectrum_deviation,
 )
-from .orbits import ACTION_TYPES, action_spec, spectrum_report
+from .orbits import ACTION_TYPES, action_spec, spectrum_report, spectrum_reports
 
 SPECTRUM_TOLERANCE = 1e-8
 PARAMETER_TOLERANCE = 1e-8
@@ -111,11 +112,9 @@ def _report_row(report) -> dict:
     }
 
 
-def _spectra(args, spec, ts, **extra):
-    """One row per spectrum report at the parameters ``ts``; the CSV columns
-    pcNN hold the principal curvatures, each repeated by its multiplicity."""
-    tol = _cluster_tol(args)
-    reports = [spectrum_report(spec, float(t), cluster_tol=tol) for t in ts]
+def _spectra(args, reports, **extra):
+    """One row per spectrum report; the CSV columns pcNN hold the principal
+    curvatures, each repeated by its multiplicity."""
     columns = _columns("t", "s", "dim", "mean_curvature", "norm_sq") + [
         (f"pc{i + 1:02d}", lambda row, i=i: [v for v, m in row["curvatures"] for _ in range(m)][i])
         for i in range(reports[0].orbit_dim)
@@ -126,15 +125,17 @@ def _spectra(args, spec, ts, **extra):
 
 def cmd_orbit(args):
     spec = action_spec(args.type)
-    return _spectra(args, spec, [_resolve_t(args, spec)])
+    t = _resolve_t(args, spec)
+    return _spectra(args, [spectrum_report(spec, t, cluster_tol=_cluster_tol(args))])
 
 
 def cmd_scan(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     spec = action_spec(args.type)
-    lo, hi = principal_interval(spec)
-    return _spectra(args, spec, np.linspace(lo, hi, args.samples), samples=args.samples)
+    ts = np.linspace(*principal_interval(spec), args.samples)
+    reports = spectrum_reports(spec, ts, cluster_tol=_cluster_tol(args))
+    return _spectra(args, reports, samples=args.samples)
 
 
 def cmd_classify(args):
@@ -165,6 +166,10 @@ def cmd_classify(args):
                 and res.minimal_austere == REFERENCE_AUSTERE[ty],
             }
         )
+        if args.format == "json":
+            rows[-1]["root_diagnostics"] = {
+                name: dataclasses.asdict(diag) for name, diag in res.root_diagnostics
+            }
     columns = _columns(
         "action_type", "minimal_t", "minimal_s", "closed_form_minimal_t",
         "minimal_deviation", "minimal_austere", "closed_form_austere", "biharmonic_t",

@@ -23,7 +23,8 @@ gives the tangent rank, the tangent basis (the first rows of V^T), the
 normal basis (the other rows) and the minimum-norm lifts (columns
 U_i / S_i).  With T the tangent rows, P the rows of Ad^{-1} X_i + Y_i and
 ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
-Orbit frames, shape operators in any normal, spectrum reports, and
+Orbit frames, shape operators in any normal, spectrum reports (at one t,
+or with :func:`spectrum_reports` over an array of t), and
 :func:`mean_curvature` and :func:`shape_norm_sq` over whole arrays of t
 (block by block) all come from this kernel.
 
@@ -339,16 +340,23 @@ def _principal_shapes(spec: ActionSpec, ts: np.ndarray) -> np.ndarray:
     return _shapes(tangent, spec.ad_section, lifts, ts)
 
 
+def _shape_blocks(spec: ActionSpec, ts: np.ndarray):
+    """The shape operators at the principal parameters ``ts`` (a 1-d
+    array), as (slice of ``ts``, shapes) pairs over blocks of at most
+    :data:`FRAME_BLOCK` parameters."""
+    _require_principal_parameter(spec, ts)
+    for start in range(0, len(ts), FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        yield block, _principal_shapes(spec, ts[block])
+
+
 def _reduce_shapes(spec: ActionSpec, t, reduce):
-    """``reduce`` of the shape operators at ``t`` (a number or an array),
-    taken block by block of at most :data:`FRAME_BLOCK` parameters."""
+    """``reduce`` of the shape operators at ``t`` (a number or an array)."""
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
-    _require_principal_parameter(spec, flat)
     values = np.empty(len(flat))
-    for start in range(0, len(flat), FRAME_BLOCK):
-        block = slice(start, start + FRAME_BLOCK)
-        values[block] = reduce(_principal_shapes(spec, flat[block]))
+    for block, shapes in _shape_blocks(spec, flat):
+        values[block] = reduce(shapes)
     return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
 
 
@@ -364,15 +372,8 @@ def shape_norm_sq(spec: ActionSpec, t):
     return _reduce_shapes(spec, t, lambda s: np.sum(s * s, axis=(1, 2)))
 
 
-def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> SpectrumReport:
-    """Full curvature report at a principal parameter.
-
-    Eigenvalues within ``cluster_tol`` are merged; the report is flagged
-    cluster-ambiguous when some gap between adjacent eigenvalues lies
-    within a decade of the clustering tolerance.
-    """
-    _require_principal_parameter(spec, t)
-    s = _principal_shapes(spec, np.array([t], dtype=float))[0]
+def _report(spec: ActionSpec, t: float, s: np.ndarray, cluster_tol: float) -> SpectrumReport:
+    """The spectrum report of the shape operator ``s`` at ``t``."""
     clusters = sym_eigen(s, cluster_tol=cluster_tol)
     values = np.concatenate([[v] * m for v, m in clusters]) if clusters else np.zeros(0)
     gaps = np.diff(np.sort(values))
@@ -388,6 +389,28 @@ def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> Sp
         austere=is_austere(clusters, tol=cluster_tol),
         cluster_ambiguous=ambiguous,
     )
+
+
+def spectrum_report(spec: ActionSpec, t: float, cluster_tol: float = 1e-6) -> SpectrumReport:
+    """Full curvature report at a principal parameter.
+
+    Eigenvalues within ``cluster_tol`` are merged; the report is flagged
+    cluster-ambiguous when some gap between adjacent eigenvalues lies
+    within a decade of the clustering tolerance.
+    """
+    return spectrum_reports(spec, [t], cluster_tol)[0]
+
+
+def spectrum_reports(spec: ActionSpec, ts, cluster_tol: float = 1e-6) -> list[SpectrumReport]:
+    """:func:`spectrum_report` at each parameter of ``ts``, with the shape
+    operators built block by block of at most :data:`FRAME_BLOCK`
+    parameters and each spectrum clustered on its own."""
+    flat = np.asarray(ts, dtype=float).reshape(-1)
+    return [
+        _report(spec, t, s, cluster_tol)
+        for block, shapes in _shape_blocks(spec, flat)
+        for t, s in zip(flat[block], shapes)
+    ]
 
 
 def verify_reflection(spec: ActionSpec) -> bool:

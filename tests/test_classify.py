@@ -1,7 +1,9 @@
 """Closed-form spectra, root finding, and the classification bundle."""
 
+import copy
 import dataclasses
 import importlib
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from g2orbits.classify import (
     REFERENCE_AUSTERE,
     REFERENCE_BIHARMONIC_T,
     REFERENCE_MINIMAL_T,
+    NoRootError,
     StructuralMismatchError,
     classify,
     classify_type,
@@ -21,6 +24,7 @@ from g2orbits.classify import (
     mean_curvature_closed_form,
     principal_interval,
     shape_norm_sq_closed_form,
+    singular_weight,
 )
 from g2orbits.orbits import action_spec, is_austere, shape_norm_sq
 
@@ -162,14 +166,86 @@ class TestRootFinding:
 
     def test_find_functions_match_classify(self):
         spec = action_spec("III")
-        assert find_minimal(spec) == classify_type("III").minimal_t
-        assert tuple(find_biharmonic(spec)) == classify_type("III").biharmonic_t
+        assert find_minimal(spec)[0] == classify_type("III").minimal_t
+        assert tuple(find_biharmonic(spec)[0]) == classify_type("III").biharmonic_t
 
     def test_classify_reads_the_given_spec(self):
         spec = dataclasses.replace(action_spec("II"), einstein_constant=9.0)
         res = classify(spec)
-        assert res.biharmonic_t == tuple(find_biharmonic(spec))
+        assert res.biharmonic_t == tuple(find_biharmonic(spec)[0])
         assert res.biharmonic_t != classify_type("II").biharmonic_t
+
+    @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])
+    @pytest.mark.parametrize("ty", ["II", "V"])
+    def test_biharmonic_roots_match_closed_form_oracle(self, ty, lam):
+        spec = dataclasses.replace(action_spec(ty), einstein_constant=lam)
+        expected = _closed_form_roots(ty, lam)
+        found, _ = find_biharmonic(spec)
+        assert len(found) == len(expected) == 2
+        assert max(abs(a - b) for a, b in zip(found, expected)) < 1e-10
+
+    def test_unweighted_pole_raises(self):
+        # Without pi/2 among the singular parameters, w H keeps the pole of
+        # tan t there, so no interpolant up to 256 points resolves it.
+        spec = dataclasses.replace(action_spec("II"), singular_ts=(0.0,))
+        with pytest.raises(NoRootError) as err:
+            find_minimal(spec)
+        message = str(err.value)
+        assert "\n" not in message and "256 Chebyshev points" in message
+
+    def test_weight_has_one_factor_per_singular_class(self):
+        # Type IV's singular parameters 0 and pi agree mod pi: one sin t.
+        ts = np.linspace(0.1, 3.0, 7)
+        assert np.array_equal(singular_weight(action_spec("IV"), ts), np.sin(ts))
+        expected = np.sin(ts) * np.sin(ts - np.pi / 2)
+        assert np.array_equal(singular_weight(action_spec("V"), ts), expected)
+
+    def test_endpoint_root_is_clipped_onto_the_end(self):
+        assert classify_type("III").minimal_t == np.pi / 2
+
+    def test_root_diagnostics(self):
+        for ty in ALL_TYPES:
+            diagnostics = classify_type(ty).root_diagnostics
+            assert [name for name, _ in diagnostics] == ["f_H", "f_A"]
+            for _, diag in diagnostics:
+                assert 32 <= diag.n <= 256
+                assert diag.tail <= 1e-9 and diag.defect <= 1e-8
+                # 2n - 1 points per interpolant, n = 32, 64, ... doubling.
+                assert diag.evaluations == sum(
+                    2 * m - 1 for m in (32, 64, 128, 256) if m <= diag.n
+                )
+
+    def test_result_is_a_plain_value(self):
+        res = classify_type("II")
+        assert hash(res) == hash(dataclasses.replace(res))
+        assert pickle.loads(pickle.dumps(res)) == res
+        assert copy.deepcopy(res) == res
+        fields = dataclasses.asdict(res)
+        assert fields["root_diagnostics"][0][0] == "f_H"
+        assert set(fields["root_diagnostics"][1][1]) == {"n", "tail", "defect", "evaluations"}
+
+
+def _closed_form_roots(ty: str, lam: float) -> list[float]:
+    """Roots of the closed-form |A|^2 - lam over the principal window from a
+    dense sign scan and bisection, the oracle of the Chebyshev root finder."""
+
+    def g(t):
+        return shape_norm_sq_closed_form(ty, t) - lam
+
+    ts = np.linspace(*principal_interval(action_spec(ty)), 20001)
+    values = g(ts)
+    roots = []
+    for i in np.nonzero(values[:-1] * values[1:] < 0.0)[0]:
+        a, b, ga = ts[i], ts[i + 1], values[i]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            gm = g(m)
+            if (gm < 0.0) == (ga < 0.0):
+                a, ga = m, gm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+    return roots
 
 
 class TestClassification:

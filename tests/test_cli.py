@@ -117,6 +117,27 @@ class TestScan:
         assert main(["scan", "--type", "II", "--samples", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_one_kernel_call_per_block(self, capsys, monkeypatch):
+        calls = []
+        frames = orbits._frames
+
+        def counted_frames(spec, ts):
+            calls.append(len(ts))
+            return frames(spec, ts)
+
+        monkeypatch.setattr(orbits, "_frames", counted_frames)
+        assert main(["scan", "--type", "IV", "--samples", "40", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert calls == [orbits.FRAME_BLOCK, 40 - orbits.FRAME_BLOCK]
+        monkeypatch.undo()
+        spec = action_spec("IV")
+        for row in rows:
+            report = spectrum_report(spec, row["t"])
+            assert row["curvatures"] == [[v, m] for v, m in report.curvatures]
+            assert (row["mean_curvature"], row["norm_sq"]) == (
+                report.mean_curvature, report.norm_sq
+            )
+
 
 class TestClassify:
     def test_type_iii_text(self, capsys):
@@ -140,6 +161,15 @@ class TestClassify:
         assert main(["classify", "--type", "V", "--format", "json"]) == 0
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert any("sqrt(211)" in note for note in row["notes"])
+
+    def test_json_root_diagnostics(self, capsys):
+        assert main(["classify", "--type", "II", "--format", "json"]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["rows"][0]["root_diagnostics"]
+        assert set(diagnostics) == {"f_H", "f_A"}
+        for entry in diagnostics.values():
+            assert set(entry) == {"n", "tail", "defect", "evaluations"}
+        assert main(["classify", "--type", "II"]) == 0
+        assert "root_diagnostics" not in capsys.readouterr().out
 
     def test_austere_verdict_must_agree(self, capsys, monkeypatch):
         res = classify_type("IV")
