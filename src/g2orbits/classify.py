@@ -114,6 +114,11 @@ REFERENCE_AUSTERE = {ty: r.austere for ty, r in ACTIONS.items()}
 REFERENCE_BIHARMONIC_T = {ty: r.biharmonic_t for ty, r in ACTIONS.items()}
 
 
+#: The most a root may deviate from its closed-form value: beyond it
+#: :func:`classify` writes a discrepancy note and the command line fails
+#: the row.
+PARAMETER_TOLERANCE = 1e-8
+
 #: First-kind Chebyshev points of the first interpolant, and the most the
 #: root finder tries before it gives up.
 CHEB_FIRST_N = 32
@@ -294,14 +299,14 @@ def classify(spec: ActionSpec) -> ClassificationResult:
 
     notes: list[str] = []
     ref_min = spec.minimal_t
-    if abs(minimal_t - ref_min) > 1e-6:
+    if abs(minimal_t - ref_min) > PARAMETER_TOLERANCE:
         notes.append(
             f"minimal parameter {minimal_t!r} deviates from the closed-form "
             f"value {ref_min!r}"
         )
     ref_bi = spec.biharmonic_t
     if len(biharmonic) != len(ref_bi) or any(
-        abs(a - b) > 1e-6 for a, b in zip(biharmonic, ref_bi)
+        abs(a - b) > PARAMETER_TOLERANCE for a, b in zip(biharmonic, ref_bi)
     ):
         notes.append(
             f"biharmonic parameters {biharmonic!r} deviate from the "

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, verify
 from .classify import (
     EXPECTED_MULTIPLICITIES,
+    PARAMETER_TOLERANCE,
     REFERENCE_AUSTERE,
     classify_type,
     closed_form_spectrum,
@@ -34,7 +35,6 @@ from .classify import (
 from .orbits import ACTION_TYPES, action_spec, spectrum_report, spectrum_reports
 
 SPECTRUM_TOLERANCE = 1e-8
-PARAMETER_TOLERANCE = 1e-8
 
 
 def _cell(value, sep: str = ";") -> str:
@@ -112,11 +112,19 @@ def _report_row(report) -> dict:
     }
 
 
+def _curvature(row: dict, i: int) -> float:
+    """The i-th principal curvature of a row, counted with multiplicity."""
+    for value, mult in row["curvatures"]:
+        if i < mult:
+            return value
+        i -= mult
+
+
 def _spectra(args, reports, **extra):
     """One row per spectrum report; the CSV columns pcNN hold the principal
     curvatures, each repeated by its multiplicity."""
     columns = _columns("t", "s", "dim", "mean_curvature", "norm_sq") + [
-        (f"pc{i + 1:02d}", lambda row, i=i: [v for v, m in row["curvatures"] for _ in range(m)][i])
+        (f"pc{i + 1:02d}", lambda row, i=i: _curvature(row, i))
         for i in range(reports[0].orbit_dim)
     ]
     meta = _meta(args.command, action_type=args.type, **extra)

@@ -65,8 +65,9 @@ def alpha(x: np.ndarray) -> np.ndarray:
 
 
 def beta(x: np.ndarray) -> np.ndarray:
-    """Linear extension of G_ij -> F_ij in the G coordinate expansion."""
-    return np.einsum("i,iab->ab", span_coords(x, _G_STACK), _F_STACK)
+    """Linear extension of G_ij -> F_ij in the G coordinate expansion; ``x``
+    may be a stack of matrices."""
+    return np.einsum("...i,iab->...ab", span_coords(x, _G_STACK), _F_STACK)
 
 
 def gamma(x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from g2orbits.classify import (
     EXPECTED_MULTIPLICITIES,
+    PARAMETER_TOLERANCE,
     REFERENCE_AUSTERE,
     REFERENCE_BIHARMONIC_T,
     REFERENCE_MINIMAL_T,
@@ -174,6 +175,15 @@ class TestRootFinding:
         res = classify(spec)
         assert res.biharmonic_t == tuple(find_biharmonic(spec)[0])
         assert res.biharmonic_t != classify_type("II").biharmonic_t
+
+    def test_a_root_outside_the_parameter_tolerance_carries_a_note(self):
+        # 1e-7 is above the 1e-8 tolerance that fails the row on the
+        # command line, so the note must say why.
+        assert PARAMETER_TOLERANCE < 1e-7
+        ref = REFERENCE_MINIMAL_T["II"]
+        res = classify(dataclasses.replace(action_spec("II"), minimal_t=ref + 1e-7))
+        assert res.closed_form_minimal_t == ref + 1e-7
+        assert any("deviates from the closed-form value" in n for n in res.discrepancy_notes)
 
     @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])
     @pytest.mark.parametrize("ty", ["II", "V"])
