@@ -50,6 +50,7 @@ from .orbits import (
     SingularOrbitError,
     SpectrumReport,
     action_spec,
+    curvature_invariants,
     is_austere,
     mean_curvature,
     orbit_frame,

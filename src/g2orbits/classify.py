@@ -14,16 +14,20 @@ The roots come from one Chebyshev interpolant per function.  H and |A|^2
 blow up at the singular ends of the window, so the functions interpolated
 are f_H = w H and f_A = w^2 (|A|^2 - lambda), with the weight
 w(t) = prod sin(t - s) over the singular parameters s taken mod pi without
-repeats; weighted, both are analytic on the closed window t_range.  The
-interpolant at n first-kind Chebyshev points is accepted when its relative
-tail (largest of the last n/4 coefficients over the largest coefficient)
-is at most 1e-9 and its midpoint defect (largest |f - p| at the n - 1
-interleaved midpoints, evaluated in the same kernel call as the nodes,
-over the largest |f| at the nodes) is at most 1e-8; otherwise n doubles
-from 32, and past 256 :class:`NoRootError` is raised.  The roots are the
-real eigenvalues of the colleague matrix (``chebroots``) that fall in the
-window clipped 1e-4 away from singular endpoints, where the closed forms
-blow up, and a root on a principal endpoint (type III) is clipped onto it.
+repeats; weighted, both are analytic on the closed window t_range.  One
+kernel pass serves both interpolants: each call of the frame kernel gives
+H and |A|^2 from the same shape operators at n first-kind Chebyshev points
+and the n - 1 interleaved midpoints.  An interpolant is accepted when its
+relative tail (largest of the last n/4 coefficients over the largest
+coefficient) is at most 1e-9 and its midpoint defect (largest |f - p| at
+the midpoints over the largest |f| at the nodes) is at most 1e-8.  Each
+function keeps the first interpolant it accepts; n doubles from 32 while
+one has none, and past 256 :class:`NoRootError` is raised.  The roots are
+the real eigenvalues of the colleague matrix (``chebroots``) that fall in
+the window clipped 1e-4 away from singular endpoints, where the closed
+forms blow up, and a root on a principal endpoint (type III) is clipped
+onto it; a nearly real pair of eigenvalues (a double root or a close pair
+of roots, which cannot be counted) raises :class:`NoRootError`.
 At n = 32 these roots are within 3.2e-15 of the closed forms, so they are
 not polished (Trefethen, Approximation Theory and Approximation Practice,
 ch. 18; Boyd, SIAM J. Numer. Anal. 40 (2002)).
@@ -40,9 +44,10 @@ from .actions import ACTIONS, action_record
 from .orbits import (
     ActionSpec,
     action_spec,
+    curvature_invariants,
     mean_curvature,
     orbit_frame,
-    shape_norm_sq,
+    shape_norm_sq,  # noqa: F401  (a binding site perfbench's tracer self-test wraps)
     spectrum_report,
 )
 
@@ -138,6 +143,10 @@ CHEB_DEFECT_TOL = 1e-8
 IMAG_TOL = 1e-9
 END_TOL = 1e-9
 
+#: A colleague eigenvalue with |Re| <= 1 and IMAG_TOL < |Im| <= this is a
+#: double root or a close pair and raises (all four types have |Im| >= 1.26).
+NEAR_REAL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class RootDiagnostics:
@@ -163,52 +172,79 @@ def singular_weight(spec: ActionSpec, t):
 
 
 def _chebyshev_roots(
-    spec: ActionSpec, f, power: int, name: str
-) -> tuple[list[float], RootDiagnostics]:
-    """The roots of ``f`` (vectorised over t) in the principal window, from
-    the Chebyshev interpolant of w^power f over t_range; see the module
-    docstring."""
+    spec: ActionSpec, f, names: tuple[str, ...]
+) -> list[tuple[list[float], RootDiagnostics]]:
+    """The roots in the principal window of each function of ``names`` and
+    how they were found, from the Chebyshev interpolant over t_range of its
+    row of ``f`` (t -> stack of the functions); see the module docstring."""
     lo, hi = spec.t_range
-    n, evaluations = CHEB_FIRST_N, 0
-    while True:
+    n, evaluations, accepted = CHEB_FIRST_N, 0, {}
+    while len(accepted) < len(names):
         # Odd multiples of pi / 2n are the nodes, even ones the midpoints.
         theta = np.pi * np.arange(1, 2 * n) / (2 * n)
         ts = lo + 0.5 * (hi - lo) * (1.0 + np.cos(theta))
-        values = singular_weight(spec, ts) ** power * f(ts)
+        values = f(ts)
         evaluations += len(ts)
-        nodes, mids = values[0::2], values[1::2]
         k = np.arange(n)
-        coeffs = np.cos(np.outer(k, theta[0::2])) @ nodes * (2.0 / n)
-        coeffs[0] /= 2.0
-        tail = float(np.abs(coeffs[-(n // 4):]).max() / np.abs(coeffs).max())
-        interpolated = np.cos(np.outer(theta[1::2], k)) @ coeffs
-        defect = float(np.abs(interpolated - mids).max() / np.abs(nodes).max())
-        if tail <= CHEB_TAIL_TOL and defect <= CHEB_DEFECT_TOL:
-            break
-        if n >= CHEB_MAX_N:
-            raise NoRootError(
-                f"type {spec.action_type}: {name} is not resolved by {n} Chebyshev "
-                f"points (tail {tail:.1e}, midpoint defect {defect:.1e})"
-            )
+        for row in [row for row in range(len(names)) if row not in accepted]:
+            nodes, mids = values[row, 0::2], values[row, 1::2]
+            coeffs = np.cos(np.outer(k, theta[0::2])) @ nodes * (2.0 / n)
+            coeffs[0] /= 2.0
+            tail = float(np.abs(coeffs[-(n // 4):]).max() / np.abs(coeffs).max())
+            interpolated = np.cos(np.outer(theta[1::2], k)) @ coeffs
+            defect = float(np.abs(interpolated - mids).max() / np.abs(nodes).max())
+            if tail <= CHEB_TAIL_TOL and defect <= CHEB_DEFECT_TOL:
+                accepted[row] = coeffs, RootDiagnostics(n, tail, defect, evaluations)
+            elif n >= CHEB_MAX_N:
+                raise NoRootError(
+                    f"type {spec.action_type}: {names[row]} is not resolved by {n} Chebyshev "
+                    f"points (tail {tail:.1e}, midpoint defect {defect:.1e})"
+                )
         n *= 2
     # Loaded on first use: importing all of numpy.polynomial with the
     # package would add about a tenth to its import and spec set-up time.
     from numpy.polynomial.chebyshev import chebroots
 
-    x = chebroots(coeffs)
-    x = x.real[np.abs(x.imag) <= IMAG_TOL]
     window_lo, window_hi = principal_interval(spec)
-    roots: list[float] = []
-    for t in lo + 0.5 * (hi - lo) * (1.0 + x):
-        if not window_lo - END_TOL <= t <= window_hi + END_TOL:
-            continue
-        if t <= window_lo + END_TOL:
-            t = window_lo
-        elif t >= window_hi - END_TOL:
-            t = window_hi
-        if all(abs(t - seen) > 1e-9 for seen in roots):
-            roots.append(float(t))
-    return sorted(roots), RootDiagnostics(n, tail, defect, evaluations)
+    found = []
+    for row, name in enumerate(names):
+        coeffs, diag = accepted[row]
+        x = chebroots(coeffs)
+        imag = np.abs(x.imag)
+        near = (np.abs(x.real) <= 1.0) & (IMAG_TOL < imag) & (imag <= NEAR_REAL_TOL)
+        if np.any(near):
+            t = lo + 0.5 * (hi - lo) * (1.0 + x.real[near][0])
+            raise NoRootError(f"type {spec.action_type}: {name}: double root near t={t:.6g}")
+        roots: list[float] = []
+        for t in lo + 0.5 * (hi - lo) * (1.0 + x.real[imag <= IMAG_TOL]):
+            if not window_lo - END_TOL <= t <= window_hi + END_TOL:
+                continue
+            if t <= window_lo + END_TOL:
+                t = window_lo
+            elif t >= window_hi - END_TOL:
+                t = window_hi
+            if all(abs(t - seen) > 1e-9 for seen in roots):
+                roots.append(float(t))
+        found.append((sorted(roots), diag))
+    return found
+
+
+def _classification_roots(spec: ActionSpec):
+    """``find_minimal(spec), find_biharmonic(spec)`` from one Chebyshev pass
+    that evaluates f_H and f_A on the same shape operators."""
+    def weighted(ts):
+        (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
+        return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
+
+    (minimal, h_diag), (roots, a_diag) = _chebyshev_roots(
+        spec, weighted, ("w H", "w^2 (|A|^2 - lambda)")
+    )
+    if len(minimal) != 1:
+        raise NoRootError(
+            f"type {spec.action_type}: expected one minimal parameter, found {minimal}"
+        )
+    non_minimal = np.abs(mean_curvature(spec, roots)) > 1e-6
+    return (minimal[0], h_diag), ([r for r, keep in zip(roots, non_minimal) if keep], a_diag)
 
 
 def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:
@@ -218,14 +254,7 @@ def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:
     The root of the Chebyshev interpolant of f_H = w H; a zero on a
     principal endpoint of the window (type III) is clipped onto it.
     """
-    roots, diag = _chebyshev_roots(spec, lambda t: mean_curvature(spec, t), 1, "w H")
-    if not roots:
-        raise NoRootError(f"type {spec.action_type}: no minimal parameter found")
-    if len(roots) > 1:
-        raise NoRootError(
-            f"type {spec.action_type}: expected one minimal parameter, found {roots}"
-        )
-    return roots[0], diag
+    return _classification_roots(spec)[0]
 
 
 def find_biharmonic(spec: ActionSpec) -> tuple[list[float], RootDiagnostics]:
@@ -234,13 +263,9 @@ def find_biharmonic(spec: ActionSpec) -> tuple[list[float], RootDiagnostics]:
     found.
 
     The roots of the Chebyshev interpolant of f_A = w^2 (|A|^2 - lambda)
-    that have |H| > 1e-6.
+    that have |H| > 1e-6 (f_H must have one root, as in :func:`find_minimal`).
     """
-    lam = spec.einstein_constant
-    roots, diag = _chebyshev_roots(
-        spec, lambda t: shape_norm_sq(spec, t) - lam, 2, "w^2 (|A|^2 - lambda)"
-    )
-    return [r for r in roots if abs(mean_curvature(spec, r)) > 1e-6], diag
+    return _classification_roots(spec)[1]
 
 
 def spectrum_deviation(action_type: str, t: float, engine, reference) -> float:
@@ -288,9 +313,8 @@ class ClassificationResult:
 
 def classify(spec: ActionSpec) -> ClassificationResult:
     """Classification of the action described by ``spec``."""
-    minimal_t, minimal_diag = find_minimal(spec)
+    (minimal_t, minimal_diag), (roots, biharmonic_diag) = _classification_roots(spec)
     report = spectrum_report(spec, minimal_t)
-    roots, biharmonic_diag = find_biharmonic(spec)
     biharmonic = tuple(roots)
     end_dims = (
         orbit_frame(spec, spec.t_range[0]).orbit_dim,

@@ -78,8 +78,10 @@ def basis_element(i: int) -> np.ndarray:
 
 
 def oct_mul(a, b) -> np.ndarray:
-    """Octonion product ab, the bilinear extension of the basis table."""
-    return np.einsum("ijk,i,j->k", MUL_TENSOR, as_octonion(a), as_octonion(b))
+    """Octonion product ab, the bilinear extension of the basis table; ``a``
+    and ``b`` may also be stacks (..., 8) of octonions that broadcast."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.einsum("ijk,...i,...j->...k", MUL_TENSOR, a, b)
 
 
 def oct_conj(a) -> np.ndarray:

@@ -24,9 +24,9 @@ normal basis (the other rows) and the minimum-norm lifts (columns
 U_i / S_i).  With T the tangent rows, P the rows of Ad^{-1} X_i + Y_i and
 ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
 Orbit frames, shape operators in any normal, spectrum reports (at one t,
-or with :func:`spectrum_reports` over an array of t), and
-:func:`mean_curvature` and :func:`shape_norm_sq` over whole arrays of t
-(block by block) all come from this kernel.
+or with :func:`spectrum_reports` over an array of t), and H and |A|^2
+together (:func:`curvature_invariants`) over whole arrays of t (block by
+block) all come from this kernel.
 
 An :class:`ActionSpec` is the record of its type from
 :mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
@@ -61,7 +61,7 @@ from .triality import NamedSubalgebra, named_subalgebra
 ACTION_TYPES = tuple(ACTIONS)
 
 #: Parameters per block of the frame kernel.  Each block is reduced to H
-#: or |A|^2 before the next one starts, which bounds the working memory.
+#: and |A|^2 before the next one starts, which bounds the working memory.
 FRAME_BLOCK = 32
 
 #: Principal-orbit reports refuse parameters this close to a singular one.
@@ -307,69 +307,63 @@ class SpectrumReport:
     cluster_ambiguous: bool
 
 
-def _require_principal_parameter(spec: ActionSpec, t):
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    distance = np.min(np.abs(ts[:, None] - np.array(spec.singular_ts)), axis=1)
-    near = distance < SINGULAR_GUARD
+def _shape_blocks(spec: ActionSpec, ts: np.ndarray):
+    """The symmetrised shape operators at the principal parameters ``ts``
+    (a 1-d array), as (slice of ``ts``, shapes) pairs over blocks of at
+    most :data:`FRAME_BLOCK` parameters.
+
+    Parameters within :data:`SINGULAR_GUARD` of a singular one are refused.
+    The unit normal is the section generator xi, certified by a tangent
+    rank of d - 1 and |<xi, u_i>| <= 1e-9 for every tangent basis vector
+    u_i.
+    """
+    near = np.min(np.abs(ts[:, None] - np.array(spec.singular_ts)), axis=1) < SINGULAR_GUARD
     if np.any(near):
         raise SingularOrbitError(
             f"type {spec.action_type}: t={ts[np.argmax(near)]} is within "
             f"{SINGULAR_GUARD} of a singular parameter",
             codimension=-1,
         )
-
-
-def _principal_shapes(spec: ActionSpec, ts: np.ndarray) -> np.ndarray:
-    """Symmetrised shape operators at the principal parameters ``ts``.
-
-    The unit normal is the section generator xi, certified by a tangent
-    rank of d - 1 and |<xi, u_i>| <= 1e-9 for every tangent basis vector
-    u_i.
-    """
     d = spec.ambient.dim
-    _, vt, dim, lifts, _ = _frames(spec, ts)
-    tangent = vt[:, :dim]
-    tangency = np.abs(tangent @ spec.unit_section).max(axis=1)
-    bad = (dim != d - 1) | (tangency > 1e-9)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SingularOrbitError(
-            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - dim}",
-            codimension=d - dim,
-        )
-    return _shapes(tangent, spec.ad_section, lifts, ts)
-
-
-def _shape_blocks(spec: ActionSpec, ts: np.ndarray):
-    """The shape operators at the principal parameters ``ts`` (a 1-d
-    array), as (slice of ``ts``, shapes) pairs over blocks of at most
-    :data:`FRAME_BLOCK` parameters."""
-    _require_principal_parameter(spec, ts)
     for start in range(0, len(ts), FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
-        yield block, _principal_shapes(spec, ts[block])
+        _, vt, dim, lifts, _ = _frames(spec, ts[block])
+        tangent = vt[:, :dim]
+        bad = (dim != d - 1) | (np.abs(tangent @ spec.unit_section).max(axis=1) > 1e-9)
+        if np.any(bad):
+            raise SingularOrbitError(
+                f"type {spec.action_type} orbit at t={ts[block][np.argmax(bad)]} has "
+                f"codimension {d - dim}",
+                codimension=d - dim,
+            )
+        yield block, _shapes(tangent, spec.ad_section, lifts, ts[block])
 
 
-def _reduce_shapes(spec: ActionSpec, t, reduce):
-    """``reduce`` of the shape operators at ``t`` (a number or an array)."""
+def curvature_invariants(spec: ActionSpec, t) -> np.ndarray:
+    """H and |A|^2 at a parameter or at each entry of an array of
+    parameters, as the two rows of one (2, ...) array, from one walk over
+    the shape operators."""
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
-    values = np.empty(len(flat))
+    values = np.empty((2, len(flat)))
     for block, shapes in _shape_blocks(spec, flat):
-        values[block] = reduce(shapes)
-    return float(values[0]) if ts.ndim == 0 else values.reshape(ts.shape)
+        values[0, block] = np.trace(shapes, axis1=1, axis2=2)
+        values[1, block] = np.sum(shapes * shapes, axis=(1, 2))
+    return values.reshape((2,) + ts.shape)
 
 
 def mean_curvature(spec: ActionSpec, t):
     """Trace of the shape operator in the canonical unit normal, at a
     parameter or at each entry of an array of parameters."""
-    return _reduce_shapes(spec, t, lambda s: np.trace(s, axis1=1, axis2=2))
+    h = curvature_invariants(spec, t)[0]
+    return float(h) if h.ndim == 0 else h
 
 
 def shape_norm_sq(spec: ActionSpec, t):
     """Squared Frobenius norm of the shape operator (sum of squared
     principal curvatures), at a parameter or at each entry of an array."""
-    return _reduce_shapes(spec, t, lambda s: np.sum(s * s, axis=(1, 2)))
+    norm_sq = curvature_invariants(spec, t)[1]
+    return float(norm_sq) if norm_sq.ndim == 0 else norm_sq
 
 
 def _report(spec: ActionSpec, t: float, s: np.ndarray, cluster_tol: float) -> SpectrumReport:

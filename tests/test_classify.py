@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from g2orbits.classify import (
+    CHEB_FIRST_N,
     EXPECTED_MULTIPLICITIES,
     PARAMETER_TOLERANCE,
     REFERENCE_AUSTERE,
@@ -16,6 +17,7 @@ from g2orbits.classify import (
     REFERENCE_MINIMAL_T,
     NoRootError,
     StructuralMismatchError,
+    _chebyshev_roots,
     classify,
     classify_type,
     closed_form_spectrum,
@@ -148,27 +150,57 @@ class TestRootFinding:
             assert len(classify_type(ty).biharmonic_t) == counts[ty]
 
     def test_grid_is_one_call(self, monkeypatch):
-        calls = {"array": 0, "scalar": 0}
-
-        def counted(fn):
-            def wrapper(spec, t):
-                calls["array" if np.ndim(t) else "scalar"] += 1
-                return fn(spec, t)
-
-            return wrapper
-
+        # One kernel pass per type: the 2n - 1 = 63 parameters of the node
+        # grid reach curvature_invariants as one array call (two blocks),
+        # then one frame each for the |H| filter, the minimal spectrum and
+        # the two window ends.
+        orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
-        for name in ("mean_curvature", "shape_norm_sq"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        frames, grids = [], []
+        kernel, invariants = orbits._frames, module.curvature_invariants
+
+        def counted_frames(spec, ts):
+            frames.append(len(ts))
+            return kernel(spec, ts)
+
+        def counted_invariants(spec, t):
+            grids.append(np.shape(t))
+            return invariants(spec, t)
+
+        monkeypatch.setattr(orbits, "_frames", counted_frames)
+        monkeypatch.setattr(module, "curvature_invariants", counted_invariants)
         for ty in ALL_TYPES:
-            calls.update(array=0, scalar=0)
+            frames.clear()
+            grids.clear()
             classify_type.__wrapped__(ty)  # uncached
-            assert calls["array"] <= 4 and calls["scalar"] <= 150, (ty, calls)
+            assert len(frames) <= 6, (ty, frames)
+            assert grids == [(2 * CHEB_FIRST_N - 1,)], (ty, grids)
 
     def test_find_functions_match_classify(self):
-        spec = action_spec("III")
-        assert find_minimal(spec)[0] == classify_type("III").minimal_t
-        assert tuple(find_biharmonic(spec)[0]) == classify_type("III").biharmonic_t
+        for ty in ALL_TYPES:
+            spec, res = action_spec(ty), classify_type(ty)
+            (_, minimal_diag), (_, biharmonic_diag) = res.root_diagnostics
+            assert find_minimal(spec) == (res.minimal_t, minimal_diag)
+            assert find_biharmonic(spec) == (list(res.biharmonic_t), biharmonic_diag)
+
+    def test_each_function_keeps_its_first_accepted_interpolant(self, monkeypatch):
+        # A 1e-6 cos(40 t) term in |A|^2 is not resolved by 32 points, so
+        # n doubles for f_A alone; f_H keeps its n = 32 interpolant.
+        module = importlib.import_module("g2orbits.classify")
+        exact = module.curvature_invariants
+        unperturbed = classify_type("II").root_diagnostics[0][1]
+
+        def wiggled(spec, t):
+            values = exact(spec, t)
+            values[1] += 1e-6 * np.cos(40.0 * t)
+            return values
+
+        monkeypatch.setattr(module, "curvature_invariants", wiggled)
+        (_, minimal_diag), (_, biharmonic_diag) = classify(action_spec("II")).root_diagnostics
+        assert minimal_diag == unperturbed
+        assert (minimal_diag.n, minimal_diag.evaluations) == (32, 63)
+        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (64, 63 + 127)
+        assert biharmonic_diag.tail <= 1e-9 and biharmonic_diag.defect <= 1e-8
 
     def test_classify_reads_the_given_spec(self):
         spec = dataclasses.replace(action_spec("II"), einstein_constant=9.0)
@@ -202,6 +234,22 @@ class TestRootFinding:
             find_minimal(spec)
         message = str(err.value)
         assert "\n" not in message and "256 Chebyshev points" in message
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-10], ids=["double", "close_pair"])
+    def test_near_double_root_raises(self, shift):
+        # The colleague matrix splits the double root of (t - 1)^2 into a
+        # complex pair with |imag| about 1e-8, and (t - 1)^2 + 1e-10 has the
+        # pair 1 +/- 1e-5 i: neither may vanish from the root count.
+        spec = action_spec("III")
+        with pytest.raises(NoRootError) as err:
+            _chebyshev_roots(spec, lambda t: np.array([(t - 1.0) ** 2 + shift]), ("x",))
+        message = str(err.value)
+        assert "\n" not in message and "double root near t=1" in message
+        # two simple roots 0.01 apart are still found
+        [(roots, _)] = _chebyshev_roots(
+            spec, lambda t: np.array([(t - 1.0) * (t - 1.01)]), ("x",)
+        )
+        assert np.allclose(roots, [1.0, 1.01], atol=1e-12)
 
     def test_weight_has_one_factor_per_singular_class(self):
         # Type IV's singular parameters 0 and pi agree mod pi: one sin t.

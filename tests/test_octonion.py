@@ -7,6 +7,7 @@ from g2orbits.linalg import V_BRACKET_RULES, V_TERMS, g_basis
 from g2orbits.octonion import (
     FANO_LINES,
     INDEX,
+    MUL_TENSOR,
     SIGN,
     as_octonion,
     basis_element,
@@ -100,6 +101,8 @@ class TestConjugationAndInner:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             as_octonion([1.0, 2.0])
+        with pytest.raises(ValueError):
+            oct_mul([1.0, 2.0], E[1])
 
 
 class TestAlgebraLaws:
@@ -109,6 +112,15 @@ class TestAlgebraLaws:
             lhs = oct_norm(oct_mul(x, y))
             rhs = oct_norm(x) * oct_norm(y)
             assert abs(lhs - rhs) <= 1e-12 * rhs
+
+    def test_stacked_product_matches_each_pair(self, rng):
+        pairs = rng.normal(size=(2000, 2, 8))
+        each = np.stack([oct_mul(a, b) for a, b in pairs])
+        assert np.array_equal(each, [np.einsum("ijk,i,j->k", MUL_TENSOR, a, b) for a, b in pairs])
+        assert np.array_equal(oct_mul(pairs[:, 0], pairs[:, 1]), each)
+        # one octonion against a stack broadcasts
+        x, ys = pairs[0, 0], pairs[:3, 1]
+        assert np.array_equal(oct_mul(x, ys), [oct_mul(x, y) for y in ys])
 
     def test_alternativity(self, rng):
         for _ in range(200):

@@ -13,12 +13,14 @@ from g2orbits.orbits import (
     FRAME_BLOCK,
     SingularOrbitError,
     action_spec,
+    curvature_invariants,
     is_austere,
     mean_curvature,
     orbit_frame,
     shape_norm_sq,
     shape_operator,
     spectrum_report,
+    spectrum_reports,
     unit_normal,
     verify_reflection,
 )
@@ -266,6 +268,20 @@ class TestFrameKernel:
                 tol = 1e-12 * max(1.0, abs(oracle))
                 assert abs(value - scalar) <= tol
                 assert abs(value - oracle) <= tol
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_invariants_are_mean_curvature_and_norm_sq(self, ty, rng):
+        spec = action_spec(ty)
+        ts = rng.uniform(*principal_interval(spec), size=40)  # two blocks
+        invariants = curvature_invariants(spec, ts)
+        assert invariants.shape == (2, 40)
+        assert np.array_equal(invariants[0], mean_curvature(spec, ts))
+        assert np.array_equal(invariants[1], shape_norm_sq(spec, ts))
+        for (mean, norm), report in zip(invariants.T, spectrum_reports(spec, ts)):
+            assert mean == pytest.approx(report.mean_curvature, rel=1e-12, abs=1e-12)
+            assert norm == pytest.approx(report.norm_sq, rel=1e-12)
+        assert curvature_invariants(spec, ts[0]).shape == (2,)
+        assert np.array_equal(curvature_invariants(spec, ts[:, None]), invariants[:, :, None])
 
     def test_singular_parameter_in_array(self):
         spec = action_spec("II")

@@ -64,3 +64,13 @@ def test_only_the_composition_law_depends_on_the_seed():
     differ = [a.name for a, b in zip(first, second) if a != b]
     assert differ == ["composition law |xy| = |x||y|"]
     assert all(check.passed for check in first + second)
+
+
+def test_composition_law_reports_the_relative_defect(monkeypatch):
+    # |ab| off by a factor 1 + 1e-9: the squared norms differ by 2e-9
+    # relative, and the check reports half of that.
+    exact = octonion.oct_mul
+    monkeypatch.setattr(octonion, "oct_mul", lambda a, b: (1.0 + 1e-9) * exact(a, b))
+    result = verify.check_composition_law(np.random.default_rng(0))
+    assert not result.passed
+    assert result.detail == "1000 random pairs, worst relative defect 1.00e-09"
