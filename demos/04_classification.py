@@ -1,13 +1,14 @@
 """Tour of the classification layer: minimal, austere, biharmonic orbits.
 
-Run:  python demos/04_classification.py   (well under a second: one Chebyshev
-interpolant per root function and type)
+Run:  python demos/04_classification.py   (well under a second: one
+trigonometric interpolant over one period per root function and type)
 """
 
 from g2orbits import action_spec, classify, verify_reflection
 
-print("Classifying the four actions (Chebyshev interpolants of the weighted mean")
-print("curvature and |shape|^2, roots from the colleague matrix)...")
+print("Classifying the four actions (trigonometric interpolants of the weighted mean")
+print("curvature and |shape|^2 over one period, roots from the companion matrix")
+print("of z^D p(z))...")
 print()
 results = {}
 for ty in ("II", "III", "IV", "V"):

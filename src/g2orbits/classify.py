@@ -10,27 +10,37 @@ distinguished parameters:
     norm of the shape operator equals the Einstein constant of the
     ambient metric (8 on G2, 10 on SO(7)).
 
-The roots come from one Chebyshev interpolant per function.  H and |A|^2
-blow up at the singular ends of the window, so the functions interpolated
-are f_H = w H and f_A = w^2 (|A|^2 - lambda), with the weight
+The roots come from one trigonometric interpolant per function.  H and
+|A|^2 blow up at the singular parameters, so the functions interpolated are
+f_H = w H and f_A = w^2 (|A|^2 - lambda), with the weight
 w(t) = prod sin(t - s) over the singular parameters s taken mod pi without
-repeats; weighted, both are analytic on the closed window t_range.  One
-kernel pass serves both interpolants: each call of the frame kernel gives
-H and |A|^2 from the same shape operators at n first-kind Chebyshev points
-and the n - 1 interleaved midpoints.  An interpolant is accepted when its
-relative tail (largest of the last n/4 coefficients over the largest
-coefficient) is at most 1e-9 and its midpoint defect (largest |f - p| at
-the midpoints over the largest |f| at the nodes) is at most 1e-8.  Each
-function keeps the first interpolant it accepts; n doubles from 32 while
-one has none, and past 256 :class:`NoRootError` is raised.  The roots are
-the real eigenvalues of the colleague matrix (``chebroots``) that fall in
-the window clipped 1e-4 away from singular endpoints, where the closed
-forms blow up, and a root on a principal endpoint (type III) is clipped
-onto it; a nearly real pair of eigenvalues (a double root or a close pair
-of roots, which cannot be counted) raises :class:`NoRootError`.
-At n = 32 these roots are within 3.2e-15 of the closed forms, so they are
-not polished (Trefethen, Approximation Theory and Approximation Practice,
-ch. 18; Boyd, SIAM J. Numer. Anal. 40 (2002)).
+repeats.  The geodesic generator X satisfies X^3 = -X, so g(t) = exp(tX)
+is 2 pi-periodic with entries linear in cos t and sin t, and weighted, both
+functions are trigonometric polynomials in t (of degree at most 4); the
+kernel's values outside the principal window are those of principal orbits
+of the same action, the analytic continuation of the window's.  One kernel
+pass serves both interpolants: one call of the frame kernel gives H and
+|A|^2 from the same shape operators at the 2n points t_m = pi (2m + 1) / 2n,
+m = 0 .. 2n - 1, of one period.  The even m are the n equispaced nodes and
+the odd m the midpoints; for even n no t_m is a multiple of pi/2, where the
+singular orbits of all four types lie.  The coefficients c_k, |k| <= n/2
+(the Nyquist term split in half), come from the FFT of the node values.  An
+interpolant is accepted when its relative tail (largest |c_k| over
+|k| > n/4, over the largest |c_k|) is at most 1e-9 and its midpoint defect
+(largest |f - p| at the midpoints over the largest |f| at the nodes) is at
+most 1e-8.  Each function keeps the first interpolant it accepts; n doubles
+from 16 while one has none, and past 64 :class:`NoRootError` is raised.
+With the coefficients at the rounding floor dropped, p has degree D and the
+eigenvalues z of the companion matrix of the polynomial z^D p(z)
+(``numpy.roots``) on the unit circle are its real roots t = arg z.  Those
+that fall in the window clipped 1e-4 away from singular endpoints, where
+the closed forms blow up, are the roots found, and a root on a principal
+endpoint (type III) is clipped onto it; an eigenvalue near the circle but
+off it, or two close together (a double root or a close pair of roots,
+which cannot be counted), raises :class:`NoRootError`.  At n = 16 these
+roots are within 9e-16 of the closed forms, so they are not polished
+(Boyd, J. Eng. Math. 56 (2006), on roots of trigonometric polynomials from
+the companion matrix).
 """
 
 from __future__ import annotations
@@ -124,38 +134,44 @@ REFERENCE_BIHARMONIC_T = {ty: r.biharmonic_t for ty, r in ACTIONS.items()}
 #: the row.
 PARAMETER_TOLERANCE = 1e-8
 
-#: First-kind Chebyshev points of the first interpolant, and the most the
+#: Fourier nodes over one period of the first interpolant, and the most the
 #: root finder tries before it gives up.
-CHEB_FIRST_N = 32
-CHEB_MAX_N = 256
+FOURIER_FIRST_N = 16
+FOURIER_MAX_N = 64
 
 #: Acceptance of an interpolant: relative coefficient tail and midpoint
-#: defect.  The engine's error grows near the singular ends, so neither falls
-#: to machine precision, and both rise as more points crowd the ends (type
-#: II's f_A: 6.6e-15 and 2.1e-13 at n = 32, 5.3e-14 and 4.8e-12 at
-#: n = 128).  The bounds stay well above that floor; every type passes at
-#: n = 32.
-CHEB_TAIL_TOL = 1e-9
-CHEB_DEFECT_TOL = 1e-8
+#: defect.  Every type passes at n = 16, where they are at most 3.1e-15 and
+#: 8.8e-15 (the weighted functions have degree at most 4).
+FOURIER_TAIL_TOL = 1e-9
+FOURIER_DEFECT_TOL = 1e-8
 
-#: Colleague-matrix eigenvalues with at most this imaginary part count as
-#: real; roots this close to a window end are clipped onto it.
-IMAG_TOL = 1e-9
+#: Coefficients at most this share of the largest are rounding and are
+#: dropped before the companion matrix is formed (keeping them all moves
+#: the roots by up to 8.7e-15; floors from 1e-14 to 1e-10 give the same
+#: roots).
+FOURIER_FLOOR = 1e3 * np.finfo(float).eps
+
+#: Companion eigenvalues z with ||z| - 1| at most this are the real roots
+#: t = arg z; roots this close to a window end are clipped onto it.
+UNIT_TOL = 1e-9
 END_TOL = 1e-9
 
-#: A colleague eigenvalue with |Re| <= 1 and IMAG_TOL < |Im| <= this is a
-#: double root or a close pair and raises (all four types have |Im| >= 1.26).
-NEAR_REAL_TOL = 1e-3
+#: A companion eigenvalue with UNIT_TOL < ||z| - 1| <= this, or with
+#: ||z| - 1| <= this and another such eigenvalue at most this far away, is
+#: a double root or a close pair and raises (the rounding splits a double
+#: root into a pair about 1e-8 apart, in any direction).  Every root of the
+#: four types is on the unit circle, at least 0.5 from any other.
+NEAR_UNIT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class RootDiagnostics:
     """How the roots of one weighted function were found.
 
-    ``n`` is the number of first-kind Chebyshev points of the accepted
-    interpolant, ``tail`` and ``defect`` the two quantities of its
-    acceptance (see the module docstring), and ``evaluations`` the kernel
-    evaluations (parameters t) of all the interpolants tried.
+    ``n`` is the number of Fourier nodes of the accepted interpolant,
+    ``tail`` and ``defect`` the two quantities of its acceptance (see the
+    module docstring), and ``evaluations`` the kernel evaluations
+    (parameters t) of all the interpolants tried.
     """
 
     n: int
@@ -171,72 +187,82 @@ def singular_weight(spec: ActionSpec, t):
     return np.prod([np.sin(t - s) for s in shifts], axis=0)
 
 
-def _chebyshev_roots(
+def _fourier_roots(
     spec: ActionSpec, f, names: tuple[str, ...]
 ) -> list[tuple[list[float], RootDiagnostics]]:
     """The roots in the principal window of each function of ``names`` and
-    how they were found, from the Chebyshev interpolant over t_range of its
-    row of ``f`` (t -> stack of the functions); see the module docstring."""
-    lo, hi = spec.t_range
-    n, evaluations, accepted = CHEB_FIRST_N, 0, {}
+    how they were found, from the trigonometric interpolant over one period
+    of its row of ``f`` (t -> stack of the functions); see the module
+    docstring."""
+    n, evaluations, accepted = FOURIER_FIRST_N, 0, {}
     while len(accepted) < len(names):
-        # Odd multiples of pi / 2n are the nodes, even ones the midpoints.
-        theta = np.pi * np.arange(1, 2 * n) / (2 * n)
-        ts = lo + 0.5 * (hi - lo) * (1.0 + np.cos(theta))
+        # Odd multiples of pi / 2n: the even-numbered ones are the nodes,
+        # the others the midpoints.
+        ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
         values = f(ts)
         evaluations += len(ts)
-        k = np.arange(n)
+        k = np.arange(n // 2 + 1)
         for row in [row for row in range(len(names)) if row not in accepted]:
             nodes, mids = values[row, 0::2], values[row, 1::2]
-            coeffs = np.cos(np.outer(k, theta[0::2])) @ nodes * (2.0 / n)
-            coeffs[0] /= 2.0
-            tail = float(np.abs(coeffs[-(n // 4):]).max() / np.abs(coeffs).max())
-            interpolated = np.cos(np.outer(theta[1::2], k)) @ coeffs
+            # c_k for k >= 0 (c_-k is its conjugate); the nodes start at
+            # ts[0], and the Nyquist term is split between k = +-n/2.
+            coeffs = np.fft.rfft(nodes) * np.exp(-1j * k * ts[0]) / n
+            coeffs[-1] /= 2.0
+            size = np.abs(coeffs).max()
+            tail = float(np.abs(coeffs[n // 4 + 1:]).max() / size)
+            interpolated = 2.0 * (np.exp(1j * np.outer(ts[1::2], k)) @ coeffs).real - coeffs[0].real
             defect = float(np.abs(interpolated - mids).max() / np.abs(nodes).max())
-            if tail <= CHEB_TAIL_TOL and defect <= CHEB_DEFECT_TOL:
+            if tail <= FOURIER_TAIL_TOL and defect <= FOURIER_DEFECT_TOL:
+                coeffs[np.abs(coeffs) <= FOURIER_FLOOR * size] = 0.0
                 accepted[row] = coeffs, RootDiagnostics(n, tail, defect, evaluations)
-            elif n >= CHEB_MAX_N:
+            elif n >= FOURIER_MAX_N:
                 raise NoRootError(
-                    f"type {spec.action_type}: {names[row]} is not resolved by {n} Chebyshev "
-                    f"points (tail {tail:.1e}, midpoint defect {defect:.1e})"
+                    f"type {spec.action_type}: {names[row]} is not resolved by {n} Fourier "
+                    f"nodes (tail {tail:.1e}, midpoint defect {defect:.1e})"
                 )
         n *= 2
-    # Loaded on first use: importing all of numpy.polynomial with the
-    # package would add about a tenth to its import and spec set-up time.
-    from numpy.polynomial.chebyshev import chebroots
 
     window_lo, window_hi = principal_interval(spec)
+
+    def window_copy(t):
+        """The copy t + 2 pi j in the period that starts END_TOL below the
+        window; on the window (give or take END_TOL) if any copy is."""
+        return float(window_lo - END_TOL + np.mod(t - window_lo + END_TOL, 2.0 * np.pi))
+
     found = []
     for row, name in enumerate(names):
         coeffs, diag = accepted[row]
-        x = chebroots(coeffs)
-        imag = np.abs(x.imag)
-        near = (np.abs(x.real) <= 1.0) & (IMAG_TOL < imag) & (imag <= NEAR_REAL_TOL)
-        if np.any(near):
-            t = lo + 0.5 * (hi - lo) * (1.0 + x.real[near][0])
+        degree = int(np.nonzero(coeffs)[0].max())
+        # z^D p(z) = sum c_k z^(k + D), highest power first: c_D .. c_-D.
+        z = np.roots(np.concatenate([coeffs[degree::-1], np.conj(coeffs[1:degree + 1])]))
+        off = np.abs(np.abs(z) - 1.0)
+        near, near_off = z[off <= NEAR_UNIT_TOL], off[off <= NEAR_UNIT_TOL]
+        crowded = (np.abs(near[:, None] - near) <= NEAR_UNIT_TOL).sum(axis=1) > 1
+        doubtful = near[crowded | (near_off > UNIT_TOL)]
+        if len(doubtful):
+            t = window_copy(float(np.angle(doubtful[0])))
             raise NoRootError(f"type {spec.action_type}: {name}: double root near t={t:.6g}")
         roots: list[float] = []
-        for t in lo + 0.5 * (hi - lo) * (1.0 + x.real[imag <= IMAG_TOL]):
-            if not window_lo - END_TOL <= t <= window_hi + END_TOL:
+        for t in map(window_copy, np.angle(z[off <= UNIT_TOL])):
+            if t > window_hi + END_TOL:
                 continue
             if t <= window_lo + END_TOL:
                 t = window_lo
             elif t >= window_hi - END_TOL:
                 t = window_hi
-            if all(abs(t - seen) > 1e-9 for seen in roots):
-                roots.append(float(t))
+            roots.append(float(t))
         found.append((sorted(roots), diag))
     return found
 
 
 def _classification_roots(spec: ActionSpec):
-    """``find_minimal(spec), find_biharmonic(spec)`` from one Chebyshev pass
+    """``find_minimal(spec), find_biharmonic(spec)`` from one Fourier pass
     that evaluates f_H and f_A on the same shape operators."""
     def weighted(ts):
         (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
         return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
 
-    (minimal, h_diag), (roots, a_diag) = _chebyshev_roots(
+    (minimal, h_diag), (roots, a_diag) = _fourier_roots(
         spec, weighted, ("w H", "w^2 (|A|^2 - lambda)")
     )
     if len(minimal) != 1:
@@ -251,7 +277,7 @@ def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:
     """The unique principal parameter with vanishing mean curvature, and
     how it was found.
 
-    The root of the Chebyshev interpolant of f_H = w H; a zero on a
+    The root of the trigonometric interpolant of f_H = w H; a zero on a
     principal endpoint of the window (type III) is clipped onto it.
     """
     return _classification_roots(spec)[0]
@@ -262,7 +288,7 @@ def find_biharmonic(spec: ActionSpec) -> tuple[list[float], RootDiagnostics]:
     constant and the mean curvature does not vanish, and how they were
     found.
 
-    The roots of the Chebyshev interpolant of f_A = w^2 (|A|^2 - lambda)
+    The roots of the trigonometric interpolant of f_A = w^2 (|A|^2 - lambda)
     that have |H| > 1e-6 (f_H must have one root, as in :func:`find_minimal`).
     """
     return _classification_roots(spec)[1]

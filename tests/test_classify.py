@@ -7,17 +7,20 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from g2orbits.actions import action_record
 from g2orbits.classify import (
-    CHEB_FIRST_N,
     EXPECTED_MULTIPLICITIES,
+    FOURIER_FIRST_N,
     PARAMETER_TOLERANCE,
     REFERENCE_AUSTERE,
     REFERENCE_BIHARMONIC_T,
     REFERENCE_MINIMAL_T,
     NoRootError,
     StructuralMismatchError,
-    _chebyshev_roots,
+    _fourier_roots,
     classify,
     classify_type,
     closed_form_spectrum,
@@ -29,7 +32,7 @@ from g2orbits.classify import (
     shape_norm_sq_closed_form,
     singular_weight,
 )
-from g2orbits.orbits import action_spec, is_austere, shape_norm_sq
+from g2orbits.orbits import action_spec, curvature_invariants, is_austere, shape_norm_sq
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -126,6 +129,25 @@ class TestNormSqClosedForms:
             assert sign_changes == changes
 
 
+@st.composite
+def _root_sets(draw):
+    """A type, 1-6 sorted roots in its clipped window and a scale C.
+
+    The roots are at least 1e-5 inside the window and 0.2 apart mod pi,
+    where the roots of sin(t - r) recur.  Closer clusters are worse
+    conditioned for any root finder: six roots 0.1 apart move by up to
+    4e-12, 0.2 apart by at most 1e-13.
+    """
+    ty = draw(st.sampled_from(ALL_TYPES))
+    lo, hi = principal_interval(action_spec(ty))
+    lo, hi, gap, m = lo + 1e-5, hi - 1e-5, 0.2, draw(st.integers(1, 6))
+    span = min(hi - lo, np.pi - gap)
+    shift = draw(st.floats(0.0, hi - lo - span))
+    offsets = sorted(draw(st.lists(st.floats(0.0, span - (m - 1) * gap), min_size=m, max_size=m)))
+    roots = tuple(lo + shift + u + i * gap for i, u in enumerate(offsets))
+    return ty, roots, draw(st.floats(1e-3, 1e3))
+
+
 class TestRootFinding:
     def test_minimal_parameters(self):
         for ty in ALL_TYPES:
@@ -150,10 +172,10 @@ class TestRootFinding:
             assert len(classify_type(ty).biharmonic_t) == counts[ty]
 
     def test_grid_is_one_call(self, monkeypatch):
-        # One kernel pass per type: the 2n - 1 = 63 parameters of the node
-        # grid reach curvature_invariants as one array call (two blocks),
-        # then one frame each for the |H| filter, the minimal spectrum and
-        # the two window ends.
+        # One kernel pass per type: the 2n = 32 nodes and midpoints reach
+        # curvature_invariants as one array call of one block, then one
+        # frame each for the |H| filter, the minimal spectrum and the two
+        # window ends.
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
         frames, grids = [], []
@@ -164,8 +186,10 @@ class TestRootFinding:
             return kernel(spec, ts)
 
         def counted_invariants(spec, t):
-            grids.append(np.shape(t))
-            return invariants(spec, t)
+            before = len(frames)
+            values = invariants(spec, t)
+            grids.append((np.shape(t), frames[before:]))
+            return values
 
         monkeypatch.setattr(orbits, "_frames", counted_frames)
         monkeypatch.setattr(module, "curvature_invariants", counted_invariants)
@@ -173,8 +197,8 @@ class TestRootFinding:
             frames.clear()
             grids.clear()
             classify_type.__wrapped__(ty)  # uncached
-            assert len(frames) <= 6, (ty, frames)
-            assert grids == [(2 * CHEB_FIRST_N - 1,)], (ty, grids)
+            assert len(frames) <= 5, (ty, frames)
+            assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
 
     def test_find_functions_match_classify(self):
         for ty in ALL_TYPES:
@@ -184,22 +208,23 @@ class TestRootFinding:
             assert find_biharmonic(spec) == (list(res.biharmonic_t), biharmonic_diag)
 
     def test_each_function_keeps_its_first_accepted_interpolant(self, monkeypatch):
-        # A 1e-6 cos(40 t) term in |A|^2 is not resolved by 32 points, so
-        # n doubles for f_A alone; f_H keeps its n = 32 interpolant.
+        # A 1e-6 cos(3 t) term in |A|^2 gives f_A = w^2 (|A|^2 - lambda)
+        # degree 7, above the n/4 = 4 that 16 nodes resolve, so n doubles
+        # for f_A alone; f_H keeps its n = 16 interpolant.
         module = importlib.import_module("g2orbits.classify")
         exact = module.curvature_invariants
         unperturbed = classify_type("II").root_diagnostics[0][1]
 
         def wiggled(spec, t):
             values = exact(spec, t)
-            values[1] += 1e-6 * np.cos(40.0 * t)
+            values[1] += 1e-6 * np.cos(3.0 * t)
             return values
 
         monkeypatch.setattr(module, "curvature_invariants", wiggled)
         (_, minimal_diag), (_, biharmonic_diag) = classify(action_spec("II")).root_diagnostics
         assert minimal_diag == unperturbed
-        assert (minimal_diag.n, minimal_diag.evaluations) == (32, 63)
-        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (64, 63 + 127)
+        assert (minimal_diag.n, minimal_diag.evaluations) == (16, 32)
+        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (32, 32 + 64)
         assert biharmonic_diag.tail <= 1e-9 and biharmonic_diag.defect <= 1e-8
 
     def test_classify_reads_the_given_spec(self):
@@ -228,28 +253,63 @@ class TestRootFinding:
 
     def test_unweighted_pole_raises(self):
         # Without pi/2 among the singular parameters, w H keeps the pole of
-        # tan t there, so no interpolant up to 256 points resolves it.
+        # tan t there, so no interpolant up to 64 nodes resolves it.
         spec = dataclasses.replace(action_spec("II"), singular_ts=(0.0,))
         with pytest.raises(NoRootError) as err:
             find_minimal(spec)
         message = str(err.value)
-        assert "\n" not in message and "256 Chebyshev points" in message
+        assert "\n" not in message and "64 Fourier nodes" in message
 
     @pytest.mark.parametrize("shift", [0.0, 1e-10], ids=["double", "close_pair"])
     def test_near_double_root_raises(self, shift):
-        # The colleague matrix splits the double root of (t - 1)^2 into a
-        # complex pair with |imag| about 1e-8, and (t - 1)^2 + 1e-10 has the
-        # pair 1 +/- 1e-5 i: neither may vanish from the root count.
+        # The companion matrix splits the double root of sin^2(t - 1) into
+        # a pair of eigenvalues about 1e-8 apart, and sin^2(t - 1) + 1e-10
+        # has the pair 1 +/- 1e-5 i: neither may vanish from the root count.
         spec = action_spec("III")
         with pytest.raises(NoRootError) as err:
-            _chebyshev_roots(spec, lambda t: np.array([(t - 1.0) ** 2 + shift]), ("x",))
+            _fourier_roots(spec, lambda t: np.array([np.sin(t - 1.0) ** 2 + shift]), ("x",))
         message = str(err.value)
         assert "\n" not in message and "double root near t=1" in message
         # two simple roots 0.01 apart are still found
-        [(roots, _)] = _chebyshev_roots(
-            spec, lambda t: np.array([(t - 1.0) * (t - 1.01)]), ("x",)
+        [(roots, _)] = _fourier_roots(
+            spec, lambda t: np.array([np.sin(t - 1.0) * np.sin(t - 1.01)]), ("x",)
         )
         assert np.allclose(roots, [1.0, 1.01], atol=1e-12)
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_values_outside_the_window_are_the_analytic_continuation(self, ty):
+        # The grid covers a whole period; off the window the kernel's w H and
+        # w^2 |A|^2 must still be the closed forms times the weight.
+        spec, record = action_spec(ty), action_record(ty)
+        n = FOURIER_FIRST_N
+        ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
+        (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
+        for engine, closed_form in [
+            (w * h, w * record.mean_curvature(ts)),
+            (w**2 * norm_sq, w**2 * record.norm_sq(ts)),
+        ]:
+            bound = 1e-10 * np.maximum(1.0, np.abs(closed_form))
+            assert np.all(np.abs(engine - closed_form) <= bound)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=_root_sets())
+    @example(data=("II", (1e-4 + 1e-5, 0.8, np.pi / 2 - 1e-4 - 5e-4), 1.0))
+    @example(data=("IV", (1e-4 + 9e-4, 1.2, 2.0), 3.0))
+    @example(data=("III", (0.3, 0.7, 1.1, np.pi / 2 - 2e-4), 0.01))
+    def test_roots_of_a_product_of_sines(self, data):
+        # C prod sin(t - r_i) has exactly the roots r_i in the window; a
+        # repeated r_i is a double root and raises.
+        ty, roots, scale = data
+        spec = action_spec(ty)
+
+        def product(*rs):
+            return lambda t: np.array([scale * np.prod([np.sin(t - r) for r in rs], axis=0)])
+
+        [(found, _)] = _fourier_roots(spec, product(*roots), ("f",))
+        assert len(found) == len(roots)
+        assert np.max(np.abs(np.array(found) - np.array(roots))) <= 1e-12
+        with pytest.raises(NoRootError, match="double root"):
+            _fourier_roots(spec, product(roots[0], *roots), ("f",))
 
     def test_weight_has_one_factor_per_singular_class(self):
         # Type IV's singular parameters 0 and pi agree mod pi: one sin t.
@@ -260,18 +320,25 @@ class TestRootFinding:
 
     def test_endpoint_root_is_clipped_onto_the_end(self):
         assert classify_type("III").minimal_t == np.pi / 2
+        # A root 1e-12 below a principal lower end t = 0 has arg z near
+        # 2 pi; its copy near 0 is the one clipped onto the end.
+        spec = dataclasses.replace(action_spec("II"), singular_ts=(np.pi / 2,))
+        [(roots, _)] = _fourier_roots(spec, lambda t: np.array([np.sin(t + 1e-12)]), ("x",))
+        assert roots == [0.0]
+        # A root between a singular end and the clipped window is not one.
+        [(roots, _)] = _fourier_roots(
+            action_spec("II"), lambda t: np.array([np.sin(t - 5e-5) * np.sin(t - 1.0)]), ("x",)
+        )
+        assert len(roots) == 1 and abs(roots[0] - 1.0) < 1e-12
 
     def test_root_diagnostics(self):
         for ty in ALL_TYPES:
             diagnostics = classify_type(ty).root_diagnostics
             assert [name for name, _ in diagnostics] == ["f_H", "f_A"]
             for _, diag in diagnostics:
-                assert 32 <= diag.n <= 256
+                # One interpolant of 16 nodes and 16 midpoints resolves each.
+                assert (diag.n, diag.evaluations) == (16, 32)
                 assert diag.tail <= 1e-9 and diag.defect <= 1e-8
-                # 2n - 1 points per interpolant, n = 32, 64, ... doubling.
-                assert diag.evaluations == sum(
-                    2 * m - 1 for m in (32, 64, 128, 256) if m <= diag.n
-                )
 
     def test_result_is_a_plain_value(self):
         res = classify_type("II")
@@ -285,7 +352,7 @@ class TestRootFinding:
 
 def _closed_form_roots(ty: str, lam: float) -> list[float]:
     """Roots of the closed-form |A|^2 - lam over the principal window from a
-    dense sign scan and bisection, the oracle of the Chebyshev root finder."""
+    dense sign scan and bisection, the oracle of the Fourier root finder."""
 
     def g(t):
         return shape_norm_sq_closed_form(ty, t) - lam
