@@ -55,10 +55,11 @@ from .orbits import (
     ActionSpec,
     action_spec,
     curvature_invariants,
-    mean_curvature,
+    mean_curvature,  # noqa: F401  (binding sites perfbench's tracer self-test wraps)
     orbit_frame,
-    shape_norm_sq,  # noqa: F401  (a binding site perfbench's tracer self-test wraps)
+    shape_norm_sq,  # noqa: F401
     spectrum_report,
+    spectrum_reports,
 )
 
 
@@ -257,7 +258,8 @@ def _fourier_roots(
 
 def _classification_roots(spec: ActionSpec):
     """``find_minimal(spec), find_biharmonic(spec)`` from one Fourier pass
-    that evaluates f_H and f_A on the same shape operators."""
+    that evaluates f_H and f_A on the same shape operators, and the minimal
+    spectrum report (one frame block with the |H| filter of the roots)."""
     def weighted(ts):
         (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
         return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
@@ -269,8 +271,9 @@ def _classification_roots(spec: ActionSpec):
         raise NoRootError(
             f"type {spec.action_type}: expected one minimal parameter, found {minimal}"
         )
-    non_minimal = np.abs(mean_curvature(spec, roots)) > 1e-6
-    return (minimal[0], h_diag), ([r for r, keep in zip(roots, non_minimal) if keep], a_diag)
+    minimal_report, *reports = spectrum_reports(spec, [minimal[0], *roots])
+    biharmonic = [r for r, report in zip(roots, reports) if abs(report.mean_curvature) > 1e-6]
+    return (minimal[0], h_diag), (biharmonic, a_diag), minimal_report
 
 
 def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:
@@ -339,8 +342,7 @@ class ClassificationResult:
 
 def classify(spec: ActionSpec) -> ClassificationResult:
     """Classification of the action described by ``spec``."""
-    (minimal_t, minimal_diag), (roots, biharmonic_diag) = _classification_roots(spec)
-    report = spectrum_report(spec, minimal_t)
+    (minimal_t, minimal_diag), (roots, biharmonic_diag), report = _classification_roots(spec)
     biharmonic = tuple(roots)
     end_dims = (
         orbit_frame(spec, spec.t_range[0]).orbit_dim,

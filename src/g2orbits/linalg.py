@@ -53,19 +53,21 @@ V_TERMS = {
 }
 
 
-def v_elem(axis: int, lam: float, mu: float, nu: float) -> np.ndarray:
+#: Per axis, V_axis(1, 0, 0), V_axis(0, 1, 0) and V_axis(0, 0, 1) flattened.
+_V_ROWS = {i: np.stack([s * g_basis(*p).ravel() for s, p in V_TERMS[i]]) for i in V_TERMS}
+
+
+def v_elem(axis: int, lam, mu, nu) -> np.ndarray:
     """The so(7) element V_axis(lam, mu, nu).
 
     Members with lam + mu + nu = 0 lie in g2; V_axis(1, 1, 1) is the
-    zeta element orthogonal to g2 inside the span of the axis.
+    zeta element orthogonal to g2 inside the span of the axis.  For
+    coefficient arrays that broadcast, the matrices come last.
     """
     if axis not in V_TERMS:
         raise ValueError(f"V axis must be 1..7, got {axis}")
-    coeffs = (lam, mu, nu)
-    m = np.zeros((8, 8))
-    for c, (sgn, (a, b)) in zip(coeffs, V_TERMS[axis]):
-        m += c * sgn * g_basis(a, b)
-    return m
+    coeffs = np.stack(np.broadcast_arrays(lam, mu, nu), axis=-1).astype(float)
+    return (coeffs @ _V_ROWS[axis]).reshape(coeffs.shape[:-1] + (8, 8))
 
 
 def zeta(axis: int) -> np.ndarray:
@@ -199,7 +201,9 @@ def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The inner products <x, b_i> with the matrices b_i of ``basis``; for
     an orthonormal basis, the coefficients of the projection of ``x`` onto
     its span.  For a stack ``x`` of matrices, the coordinates come last."""
-    return -0.5 * np.einsum("...ab,iba->...i", x, basis)
+    x = np.asarray(x, dtype=float)
+    rows = np.swapaxes(basis, 1, 2).reshape(len(basis), 64)
+    return -0.5 * (x.reshape(x.shape[:-2] + (64,)) @ rows.T)
 
 
 def complement(sub, ambient) -> Subspace:

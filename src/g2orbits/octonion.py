@@ -78,10 +78,10 @@ def basis_element(i: int) -> np.ndarray:
 
 
 def oct_mul(a, b) -> np.ndarray:
-    """Octonion product ab, the bilinear extension of the basis table; ``a``
-    and ``b`` may also be stacks (..., 8) of octonions that broadcast."""
+    """Octonion product ab: one matrix product of the outer products a_i b_j
+    with MUL_TENSOR, for octonions or stacks (..., 8) of them that broadcast."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return np.einsum("ijk,...i,...j->...k", MUL_TENSOR, a, b)
+    return np.tensordot(a[..., :, None] * b[..., None, :], MUL_TENSOR, 2)
 
 
 def oct_conj(a) -> np.ndarray:

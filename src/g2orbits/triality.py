@@ -31,7 +31,6 @@ from .linalg import (
     bracket,
     expm,
     g_basis,
-    norm_g,
     orthonormalize,
     span_coords,
     v_elem,
@@ -67,7 +66,7 @@ def alpha(x: np.ndarray) -> np.ndarray:
 def beta(x: np.ndarray) -> np.ndarray:
     """Linear extension of G_ij -> F_ij in the G coordinate expansion; ``x``
     may be a stack of matrices."""
-    return np.einsum("...i,iab->...ab", span_coords(x, _G_STACK), _F_STACK)
+    return (span_coords(x, _G_STACK) @ _F_STACK.reshape(28, 64)).reshape(np.shape(x))
 
 
 def gamma(x: np.ndarray) -> np.ndarray:
@@ -101,12 +100,14 @@ SUBALGEBRAS = {
 
 
 def bracket_closure_defect(sub) -> float:
-    """Largest residual of a basis bracket outside the spanned subspace."""
+    """Largest residual (in norm_g) of a basis bracket outside the span."""
     basis = np.asarray(sub.basis, dtype=float)
     i, j = np.triu_indices(len(basis), 1)
     brackets = bracket(basis[i], basis[j])
-    resid = brackets - np.einsum("ni,iab->nab", span_coords(brackets, basis), basis)
-    return max(map(norm_g, resid), default=0.0)
+    coords = span_coords(brackets, basis)
+    resid = brackets - (coords @ basis.reshape(len(basis), 64)).reshape(brackets.shape)
+    norms_sq = -0.5 * np.einsum("nab,nba->n", resid, resid)
+    return float(np.sqrt(np.maximum(norms_sq, 0.0)).max(initial=0.0))
 
 
 _SUBALGEBRA_CACHE: dict[str, NamedSubalgebra] = {}
@@ -152,11 +153,8 @@ class SpinElement:
     g1: np.ndarray
     g2: np.ndarray
 
-    def compose(self, other: "SpinElement") -> "SpinElement":
-        return SpinElement(self.g1 @ other.g1, self.g2 @ other.g2)
-
     def __matmul__(self, other: "SpinElement") -> "SpinElement":
-        return self.compose(other)
+        return SpinElement(self.g1 @ other.g1, self.g2 @ other.g2)
 
     def inverse(self) -> "SpinElement":
         return SpinElement(self.g1.T.copy(), self.g2.T.copy())

@@ -1,17 +1,18 @@
 """Self-checks of the algebraic layer, grouped for reporting.
 
 Each check returns a :class:`CheckResult`; :func:`run_all` bundles the
-groups the command line surface prints.  The identity groups mirror the
-load-bearing algebraic facts: the basis multiplication contract on the
-8x8 table of the 64 basis products, the composition law, the bracket rules
-among the V subspaces, the zeta bracket rules, the triality involutions
-with their fixed subalgebras, and the named subalgebra dimensions with
-bracket closure.  Apart from the composition law, every identity is linear
-or bilinear in its inputs, so it is checked on a basis, which makes the
-check exact for all inputs and seed-free: the V rules on the 3 x 3 pairs of
-basis coefficients, the zeta rules on the basis (1, -1, 0), (0, 1, -1) of
-the coefficients that sum to zero, the triality identities on the 28
-matrices G_ij and their 378 pairs.
+groups the command line surface prints: the basis multiplication contract
+on the 8x8 table of the 64 basis products, the composition law, the bracket
+rules among the V subspaces, the zeta bracket rules, the triality
+involutions with their fixed subalgebras, and the named subalgebra
+dimensions with bracket closure (a subalgebra that cannot be built fails
+the check with the reason).  Apart from the composition law, every identity
+is linear or bilinear in its inputs, so it is checked on a basis, which
+makes the check exact for all inputs and seed-free: the V rules on the
+3 x 3 pairs of basis coefficients, the zeta rules on the basis (1, -1, 0),
+(0, 1, -1) of the coefficients that sum to zero, the triality identities on
+the 28 matrices G_ij and their 378 pairs.  Each identity is evaluated on
+stacks, one matrix product per map (oct_mul, v_elem per axis, beta, span).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def check_cayley_contract() -> CheckResult:
     squares, anticommutativity, one signed imaginary unit per product of
     distinct imaginary units, and the line partition."""
     eye = np.eye(8)
-    table = np.array([[oc.oct_mul(a, b) for b in eye] for a in eye])
+    table = oc.oct_mul(eye[:, None], eye[None])
     imag = table[1:, 1:]
     distinct = ~np.eye(7, dtype=bool)
     products = imag[distinct]
@@ -79,12 +80,12 @@ def check_v_bracket_rules() -> CheckResult:
     """The nine bracket rules, exact on the 3 x 3 pairs of basis coefficients."""
     exact = True
     for i, j, k, terms in la.V_BRACKET_RULES:
-        vi, vj, vk = (np.stack([la.v_elem(a, *c) for c in np.eye(3)]) for a in (i, j, k))
-        rhs = np.zeros((3, 3, 8, 8))
+        vi, vj = (la.v_elem(a, *np.eye(3)) for a in (i, j))
+        coeffs = np.zeros((3, 3, 3))  # output coefficient m of basis pair (p, q)
         for m, term in enumerate(terms):
             for sgn, p, q in term:
-                rhs[p, q] += sgn * vk[m]
-        exact &= np.array_equal(la.bracket(vi[:, None], vj[None]), rhs)
+                coeffs[m, p, q] += sgn
+        exact &= np.array_equal(la.bracket(vi[:, None], vj[None]), la.v_elem(k, *coeffs))
     return _result(
         "V subspace bracket rules",
         exact,
@@ -99,7 +100,7 @@ def check_zeta_bracket_rules() -> CheckResult:
     exact = True
     for slot, i, j, selector in la.ZETA_BRACKET_RULES:
         zeta_first = slot == "zeta_first"
-        v = np.stack([la.v_elem(j if zeta_first else i, *c) for c in traceless])
+        v = la.v_elem(j if zeta_first else i, *traceless.T)
         lhs = la.bracket(la.zeta(i), v) if zeta_first else la.bracket(v, la.zeta(j))
         rhs = np.einsum("g,ab->gab", traceless @ np.asarray(selector, dtype=float), la.zeta(4))
         exact &= np.array_equal(lhs, rhs)
@@ -136,11 +137,17 @@ def check_triality_involutions() -> CheckResult:
 
 
 def check_subalgebras() -> CheckResult:
-    """Dimensions and bracket closure of the six named subalgebras."""
+    """Dimensions and bracket closure of the six named subalgebras; one
+    that fails its construction fails the check with its message."""
     details = []
     ok = True
     for name, (expected, _) in sorted(tri.SUBALGEBRAS.items()):
-        sub = tri.named_subalgebra(name)
+        try:
+            sub = tri.named_subalgebra(name)
+        except ArithmeticError as exc:
+            ok = False
+            details.append(str(exc))
+            continue
         defect = tri.bracket_closure_defect(sub)
         ok &= sub.dim == expected and defect < 1e-9
         details.append(f"{name}:{sub.dim} ({defect:.1e})")

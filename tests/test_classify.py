@@ -174,8 +174,8 @@ class TestRootFinding:
     def test_grid_is_one_call(self, monkeypatch):
         # One kernel pass per type: the 2n = 32 nodes and midpoints reach
         # curvature_invariants as one array call of one block, then one
-        # frame each for the |H| filter, the minimal spectrum and the two
-        # window ends.
+        # block for the minimal spectrum and the |H| filter, and one frame
+        # each for the two window ends.
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
         frames, grids = [], []
@@ -197,7 +197,7 @@ class TestRootFinding:
             frames.clear()
             grids.clear()
             classify_type.__wrapped__(ty)  # uncached
-            assert len(frames) <= 5, (ty, frames)
+            assert len(frames) <= 4, (ty, frames)
             assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
 
     def test_find_functions_match_classify(self):

@@ -13,6 +13,7 @@ from g2orbits.linalg import (
     inner_g,
     norm_g,
     orthonormalize,
+    span_coords,
     sym_eigen,
     v_elem,
     zeta,
@@ -69,6 +70,14 @@ class TestVElements:
             b = v_elem(axis, *rng.normal(size=3))
             assert np.abs(bracket(a, b)).max() == 0.0
 
+    def test_broadcast_coefficients_match_scalar_calls(self, rng):
+        lam, mu, nu = rng.normal(size=(4, 1)), rng.normal(size=(1, 5)), rng.normal()
+        for axis in range(1, 8):
+            each = [[v_elem(axis, lam[i, 0], mu[0, j], nu) for j in range(5)] for i in range(4)]
+            stacked = v_elem(axis, lam, mu, nu)
+            assert stacked.shape == (4, 5, 8, 8)
+            assert np.array_equal(stacked, each)
+
 
 class TestBracketRules:
     def test_specific_example(self):
@@ -120,6 +129,15 @@ class TestInnerProduct:
 
     def test_zeta_norm(self):
         assert inner_g(zeta(4), zeta(4)) == pytest.approx(3.0)
+
+    def test_span_coords_of_a_stack_match_each_matrix(self, rng):
+        # One matrix product for the stack; it may round differently from
+        # the per-matrix inner products, within a few ulps.
+        stack, basis = rng.normal(size=(6, 8, 8)), rng.normal(size=(5, 8, 8))
+        each = [[inner_g(x, b) for b in basis] for x in stack]
+        coords = span_coords(stack, basis)
+        assert coords.shape == (6, 5)
+        assert np.abs(coords - each).max() <= 1e-13
 
     def test_ad_invariance(self, rng):
         for _ in range(40):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from g2orbits.linalg import V_BRACKET_RULES, V_TERMS, g_basis
+from g2orbits.linalg import V_BRACKET_RULES, V_TERMS, g_basis, v_elem
 from g2orbits.octonion import (
     FANO_LINES,
     INDEX,
@@ -122,6 +122,16 @@ class TestAlgebraLaws:
         x, ys = pairs[0, 0], pairs[:3, 1]
         assert np.array_equal(oct_mul(x, ys), [oct_mul(x, y) for y in ys])
 
+    def test_integer_stacks_match_the_table_exactly(self, rng):
+        # Integer coefficients keep every product exact in floating point.
+        a, b = rng.integers(-9, 10, size=(2, 40, 8))
+        expected = np.zeros((40, 40, 8), dtype=int)
+        for i in range(8):
+            for j in range(8):
+                expected[..., INDEX[i, j]] += SIGN[i, j] * np.outer(a[:, i], b[:, j])
+        assert np.array_equal(oct_mul(a[:, None], b[None]), expected)
+        assert np.array_equal(oct_mul(a, b), np.diagonal(expected).T)
+
     def test_alternativity(self, rng):
         for _ in range(200):
             x, y = rng.normal(size=8), rng.normal(size=8)
@@ -224,3 +234,13 @@ class TestOrientationSearch:
 
     def test_derived_v_terms_match_shipped_table(self):
         assert V_TERMS == SHIPPED_V_TERMS
+
+    def test_v_elem_matches_shipped_terms(self, rng):
+        coeffs = rng.normal(size=(10, 3))
+        for axis, terms in SHIPPED_V_TERMS.items():
+            oracle = [
+                sum(c * sgn * g_basis(a, b) for c, (sgn, (a, b)) in zip(row, terms))
+                for row in coeffs
+            ]
+            assert np.array_equal(v_elem(axis, *coeffs.T), oracle)
+            assert np.array_equal(v_elem(axis, *coeffs[0]), oracle[0])

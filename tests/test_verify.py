@@ -14,7 +14,7 @@ def test_cayley_contract_rejects_a_mixed_product(monkeypatch):
     def corrupted(a, b):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         out = exact(a, b)
-        out[7] += 0.5 * (a[1] * b[2] - a[2] * b[1])
+        out[..., 7] += 0.5 * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
         return out
 
     monkeypatch.setattr(octonion, "oct_mul", corrupted)
@@ -38,6 +38,22 @@ def test_zeta_bracket_rules_reject_a_wrong_selector(monkeypatch):
     assert verify.check_zeta_bracket_rules().passed
     monkeypatch.setattr(linalg, "ZETA_BRACKET_RULES", wrong)
     assert not verify.check_zeta_bracket_rules().passed
+
+
+@pytest.mark.parametrize(
+    "expected, message",
+    [(2, "broken: bracket closure defect 1.000e+00"), (3, "broken: rank 2, expected 3")],
+    ids=["not_closed", "rank_too_low"],
+)
+def test_subalgebras_reject_a_defective_entry(monkeypatch, expected, message):
+    # [G_01, G_12] = G_02 lies outside the span of G_01 and G_12.
+    generators = [linalg.g_basis(0, 1), linalg.g_basis(1, 2)]
+    assert verify.check_subalgebras().passed
+    monkeypatch.setitem(triality.SUBALGEBRAS, "broken", (expected, generators))
+    result = verify.check_subalgebras()
+    assert not result.passed
+    assert result.detail.startswith(message + ", g2:14 (")
+    assert result.detail.count(":") == 7
 
 
 @pytest.mark.parametrize(
