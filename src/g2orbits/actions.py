@@ -5,10 +5,12 @@ of the ambient algebra, H and K; V4 coefficients of the geodesic and
 section generators; the parameter range, its singular ends and the section
 ratio t = ratio * s), closed forms in t of the principal curvatures, the
 mean curvature H and |A|^2, the minimal parameter with its austere verdict,
-the proper biharmonic parameters, the orbit-reversing isometry of types III
-and IV, and the note on the tan^2 reading of the type V biharmonic
-parameters.  :class:`g2orbits.orbits.ActionSpec` extends the record with
-the subalgebras and generators built from it.
+the proper biharmonic parameters, the orbit-reversing isometry
+x -> a x^eps b of types III and IV as the data (a, eps, b) that
+:func:`g2orbits.orbits.verify_reflection` certifies, and the note on the
+tan^2 reading of the type V biharmonic parameters.
+:class:`g2orbits.orbits.ActionSpec` extends the record with the subalgebras
+and generators built from it.
 """
 
 from __future__ import annotations
@@ -18,22 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import expm, norm_g, zeta
-from .triality import (
-    SIGMA,
-    SpinElement,
-    is_automorphism,
-    named_subalgebra,
-    rp7_invariant,
-    spin_lift_exp,
-)
+from .triality import SIGMA
 
 _R6 = np.sqrt(6.0)
 _R2 = np.sqrt(2.0)
 _HALF_PI = np.pi / 2.0
-
-#: Tolerance of the reflection certificates.
-REFLECTION_TOL = 1e-9
 
 
 def _cot(t: float) -> float:
@@ -75,54 +66,6 @@ def _norm_sq_v(t: float) -> float:
     return (90 * c * c + 18 * tn * tn + 48) / 24.0
 
 
-def _random_lifted_g2(rng) -> SpinElement:
-    g2 = named_subalgebra("g2")
-    coeffs = rng.normal(size=g2.dim)
-    gen = np.einsum("i,iab->ab", coeffs, g2.basis)
-    size = norm_g(gen)
-    if size > 0:
-        gen = gen / size
-    return spin_lift_exp(gen, float(rng.uniform(0.0, np.pi)))
-
-
-def _reflection_iii(spec) -> bool:
-    """x -> g(pi) x^{-1}: g(pi) must be an octonion automorphism,
-    Ad(g(pi/2)) must fix the section generator (so the differential
-    negates the normal), and the RP7 level function must certify that the
-    map sends sampled orbit points into the same orbit."""
-    g_pi = expm(spec.geodesic_generator, np.pi)
-    if not is_automorphism(g_pi, REFLECTION_TOL):
-        return False
-    g_half = expm(spec.geodesic_generator, np.pi / 2.0)
-    z4 = zeta(4)
-    if np.abs(g_half @ z4 @ g_half.T - z4).max() > REFLECTION_TOL:
-        return False
-    rng = np.random.default_rng(20240611)
-    lifted_g_pi = spin_lift_exp(spec.geodesic_generator, np.pi)
-    for t in (0.35, 0.8, 1.25):
-        lifted_mid = spin_lift_exp(spec.geodesic_generator, t)
-        point = _random_lifted_g2(rng) @ lifted_mid @ _random_lifted_g2(rng)
-        image = lifted_g_pi @ point.inverse()
-        level = abs(np.cos(t))
-        if abs(rp7_invariant(point) - level) > REFLECTION_TOL:
-            return False
-        if abs(rp7_invariant(image) - level) > REFLECTION_TOL:
-            return False
-    return True
-
-
-def _reflection_iv(spec) -> bool:
-    """x -> g(pi/2) sigma g(-pi/2) x sigma: the conjugated element must
-    commute with sigma, and sigma must negate the section generator under
-    conjugation."""
-    g_half = expm(spec.geodesic_generator, np.pi / 2.0)
-    conjugated = g_half @ SIGMA @ g_half.T
-    if np.abs(conjugated @ SIGMA - SIGMA @ conjugated).max() > REFLECTION_TOL:
-        return False
-    z4 = zeta(4)
-    return bool(np.abs(SIGMA @ z4 @ SIGMA + z4).max() <= REFLECTION_TOL)
-
-
 def _note_v(biharmonic: tuple[float, ...]) -> str:
     targets = ((16 - np.sqrt(211.0)) / 3, (16 + np.sqrt(211.0)) / 3)
     residuals = [abs(np.tan(r) ** 2 - target) for r, target in zip(biharmonic, targets)]
@@ -156,7 +99,8 @@ class ActionRecord:
     minimal_t: float
     austere: bool  # verdict at the minimal orbit
     biharmonic_t: tuple[float, ...]
-    reflection: Callable[..., bool] | None = None  # spec -> verdict
+    # (t -> g(t)) -> (a, eps, b) of the isometry x -> a x^eps b
+    reflection: Callable[[Callable], tuple[np.ndarray, int, np.ndarray]] | None = None
     note: Callable[[tuple[float, ...]], str] | None = None  # biharmonic t -> note
 
 
@@ -190,7 +134,7 @@ ACTIONS = {
             minimal_t=float(np.pi / 2),
             austere=True,
             biharmonic_t=(float(np.arctan(3.0 / 4.0)),),  # arccot(4/3)
-            reflection=_reflection_iii,
+            reflection=lambda g: (g(np.pi), -1, np.eye(8)),
         ),
         ActionRecord(
             action_type="IV", ambient_name="so7", h_name="so3_so4", k_name="g2",
@@ -205,7 +149,7 @@ ACTIONS = {
                 float(np.arctan(6.0 / np.sqrt(14.0))),
                 float(np.pi - np.arctan(6.0 / np.sqrt(14.0))),
             ),
-            reflection=_reflection_iv,
+            reflection=lambda g: (g(_HALF_PI) @ SIGMA @ g(-_HALF_PI), 1, SIGMA),
         ),
         ActionRecord(
             action_type="V", ambient_name="so7", h_name="u3", k_name="g2",

@@ -53,13 +53,14 @@ import numpy as np
 from .actions import ACTIONS, action_record
 from .orbits import (
     ActionSpec,
+    _report,
+    _shape_blocks,
     action_spec,
     curvature_invariants,
     mean_curvature,  # noqa: F401  (binding sites perfbench's tracer self-test wraps)
     orbit_frame,
     shape_norm_sq,  # noqa: F401
     spectrum_report,
-    spectrum_reports,
 )
 
 
@@ -103,16 +104,6 @@ def closed_form_spectrum(action_type: str, t: float) -> list[tuple[float, int]]:
     """Principal curvatures with multiplicities, sorted ascending."""
     _check_in_range(action_type, t)
     return sorted(action_record(action_type).spectrum(t))
-
-
-def mean_curvature_closed_form(action_type: str, t: float) -> float:
-    """Trace of the shape operator from the closed-form tables."""
-    return action_record(action_type).mean_curvature(t)
-
-
-def shape_norm_sq_closed_form(action_type: str, t: float) -> float:
-    """Sum of squared principal curvatures from the closed-form tables."""
-    return action_record(action_type).norm_sq(t)
 
 
 #: Expected multiplicity multisets of the principal-orbit spectra.
@@ -259,7 +250,7 @@ def _fourier_roots(
 def _classification_roots(spec: ActionSpec):
     """``find_minimal(spec), find_biharmonic(spec)`` from one Fourier pass
     that evaluates f_H and f_A on the same shape operators, and the minimal
-    spectrum report (one frame block with the |H| filter of the roots)."""
+    spectrum report (one frame block also gives the H of the |H| filter)."""
     def weighted(ts):
         (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
         return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
@@ -271,9 +262,10 @@ def _classification_roots(spec: ActionSpec):
         raise NoRootError(
             f"type {spec.action_type}: expected one minimal parameter, found {minimal}"
         )
-    minimal_report, *reports = spectrum_reports(spec, [minimal[0], *roots])
-    biharmonic = [r for r, report in zip(roots, reports) if abs(report.mean_curvature) > 1e-6]
-    return (minimal[0], h_diag), (biharmonic, a_diag), minimal_report
+    ts = np.array([minimal[0], *roots])
+    shapes = np.concatenate([block for _, block in _shape_blocks(spec, ts)])
+    biharmonic = [r for r, s in zip(roots, shapes[1:]) if abs(np.trace(s)) > 1e-6]
+    return (minimal[0], h_diag), (biharmonic, a_diag), _report(spec, ts[0], shapes[0], 1e-6)
 
 
 def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:

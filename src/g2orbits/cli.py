@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         meta, columns, rows = args.func(args)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(args.format, meta, columns, rows)

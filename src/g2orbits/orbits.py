@@ -26,7 +26,9 @@ ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
 Orbit frames, shape operators in any normal, spectrum reports (at one t,
 or with :func:`spectrum_reports` over an array of t), and H and |A|^2
 together (:func:`curvature_invariants`) over whole arrays of t (block by
-block) all come from this kernel.
+block) all come from this kernel, and so does the frame at the minimal
+parameter on which :func:`verify_reflection` certifies the orbit-reversing
+isometry x -> a x^eps b of types III and IV.
 
 An :class:`ActionSpec` is the record of its type from
 :mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
@@ -66,6 +68,9 @@ FRAME_BLOCK = 32
 
 #: Principal-orbit reports refuse parameters this close to a singular one.
 SINGULAR_GUARD = 1e-6
+
+#: Tolerance of each defect of the reflection certificate.
+REFLECTION_TOL = 1e-9
 
 
 class SingularOrbitError(RuntimeError):
@@ -407,14 +412,45 @@ def spectrum_reports(spec: ActionSpec, ts, cluster_tol: float = 1e-6) -> list[Sp
     ]
 
 
-def verify_reflection(spec: ActionSpec) -> bool:
-    """Check the explicit orbit-reversing isometry of types III and IV.
+def _outside(mats: np.ndarray, basis: np.ndarray) -> float:
+    """Largest norm_g of a matrix of ``mats`` off the span of the orthonormal ``basis``."""
+    rows, target = _to_rows(mats), _to_rows(basis)
+    return float(np.linalg.norm(rows - rows @ target.T @ target, axis=1).max())
 
-    The isometry and its certificate are part of the type's record; see
-    :mod:`g2orbits.actions`.
+
+def verify_reflection(spec: ActionSpec) -> bool:
+    """Certify that the isometry phi(x) = a x^eps b of the type's record
+    (see :mod:`g2orbits.actions`) reflects the orbit through
+    x0 = g(minimal_t), which is then weakly reflective.
+
+    Each of these defects must be at most :data:`REFLECTION_TOL`:
+
+    1. a and b are orthogonal;
+    2. phi fixes x0;
+    3. phi permutes the orbits: Ad(a) maps h (eps = 1) or k (eps = -1)
+       into h, and Ad(b^-1) maps k or h into k;
+    4. dphi maps the ambient algebra into itself; on identity-translated
+       vectors it is Ad(b^-1) (eps = 1) or -Ad(b^-1 x0) (eps = -1);
+    5. dphi sends the unit normal xi to -xi and the tangent space at x0
+       into xi^perp.
     """
     if spec.reflection is None:
         raise ValueError(
             f"no reflection isometry is configured for action type {spec.action_type}"
         )
-    return spec.reflection(spec)
+    a, eps, b = spec.reflection(lambda t: expm(spec.geodesic_generator, t))
+    (x0,), (vt,), dim, _, _ = _frames(spec, np.array([spec.minimal_t]))
+    h_source, k_source = (spec.h, spec.k) if eps == 1 else (spec.k, spec.h)
+    c = b.T if eps == 1 else b.T @ x0  # dphi(u) = eps c u c^T
+    images = eps * (c @ spec.ambient.basis @ c.T)
+    moved = _to_rows(images) @ spec.ambient_rows.T  # rows: dphi(e_a)
+    defects = (
+        np.abs(np.stack([a @ a.T, b @ b.T]) - np.eye(8)).max(),
+        np.abs(a @ (x0 if eps == 1 else x0.T) @ b - x0).max(),
+        _outside(a @ h_source.basis @ a.T, spec.h.basis),
+        _outside(b.T @ k_source.basis @ b, spec.k.basis),
+        _outside(images, spec.ambient.basis),
+        np.abs(spec.unit_section @ moved + spec.unit_section).max(),
+        np.abs(vt[:dim] @ moved @ spec.unit_section).max(),
+    )
+    return bool(max(defects) <= REFLECTION_TOL)

@@ -27,9 +27,7 @@ from g2orbits.classify import (
     compare_spectra,
     find_biharmonic,
     find_minimal,
-    mean_curvature_closed_form,
     principal_interval,
-    shape_norm_sq_closed_form,
     singular_weight,
 )
 from g2orbits.orbits import action_spec, curvature_invariants, is_austere, shape_norm_sq
@@ -105,7 +103,7 @@ class TestNormSqClosedForms:
             lo, hi = spec.t_range
             for t in rng.uniform(lo + 0.1, hi - 0.1, size=8):
                 engine = shape_norm_sq(spec, float(t))
-                reference = shape_norm_sq_closed_form(ty, float(t))
+                reference = action_record(ty).norm_sq(float(t))
                 assert abs(engine - reference) < 1e-8
 
     def test_norm_sq_equals_spectrum_moment(self, rng):
@@ -113,7 +111,7 @@ class TestNormSqClosedForms:
             t = float(rng.uniform(0.4, 1.1))
             spectrum = closed_form_spectrum(ty, t)
             moment = sum(v * v * m for v, m in spectrum)
-            assert moment == pytest.approx(shape_norm_sq_closed_form(ty, t), rel=1e-12)
+            assert moment == pytest.approx(action_record(ty).norm_sq(t), rel=1e-12)
 
     def test_profile_shapes(self):
         # |shape|^2 is decreasing for type III and valley-shaped for the
@@ -122,7 +120,7 @@ class TestNormSqClosedForms:
             spec = action_spec(ty)
             lo, hi = principal_interval(spec)
             ts = np.linspace(lo, hi, 400)
-            vals = np.array([shape_norm_sq_closed_form(ty, t) for t in ts])
+            vals = np.array([action_record(ty).norm_sq(t) for t in ts])
             signs = np.sign(np.diff(vals))
             signs = signs[signs != 0.0]
             sign_changes = int(np.sum(np.diff(signs) != 0))
@@ -355,7 +353,7 @@ def _closed_form_roots(ty: str, lam: float) -> list[float]:
     dense sign scan and bisection, the oracle of the Fourier root finder."""
 
     def g(t):
-        return shape_norm_sq_closed_form(ty, t) - lam
+        return action_record(ty).norm_sq(t) - lam
 
     ts = np.linspace(*principal_interval(action_spec(ty)), 20001)
     values = g(ts)
@@ -411,4 +409,4 @@ class TestClassification:
             t = float(rng.uniform(0.4, min(1.2, spec.t_range[1] - 0.2)))
             spectrum = closed_form_spectrum(ty, t)
             total = sum(v * m for v, m in spectrum)
-            assert total == pytest.approx(mean_curvature_closed_form(ty, t), abs=1e-10)
+            assert total == pytest.approx(action_record(ty).mean_curvature(t), abs=1e-10)

@@ -117,6 +117,12 @@ class TestScan:
         assert main(["scan", "--type", "II", "--samples", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unallocatable_samples_is_an_error(self, capsys):
+        # 1e13 parameters need 73 TiB: the allocation is refused at once.
+        assert main(["scan", "--type", "II", "--samples", "10000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_one_kernel_call_per_block(self, capsys, monkeypatch):
         calls = []
         frames = orbits._frames

@@ -24,6 +24,7 @@ from g2orbits.orbits import (
     unit_normal,
     verify_reflection,
 )
+from g2orbits.triality import SIGMA
 
 from util import lift_generators, shape_oracle
 
@@ -379,6 +380,23 @@ class TestReflections:
         for ty in ("II", "V"):
             with pytest.raises(ValueError):
                 verify_reflection(action_spec(ty))
+
+    @pytest.mark.parametrize(
+        "ty, changes",
+        [
+            # b = I leaves g(pi/2) unfixed and keeps the normal
+            ("IV", {"reflection": lambda g: (g(np.pi / 2) @ SIGMA @ g(-np.pi / 2), 1, np.eye(8))}),
+            # x -> g(pi) x^-1 fixes g(pi/2), not g(1)
+            ("III", {"minimal_t": 1.0}),
+            # fixes g(t_min), but inversion swaps H and K and su3 is not in so4
+            ("II", {"reflection": lambda g: (g(2 * action_spec("II").minimal_t), -1, np.eye(8))}),
+            # x -> sigma x sigma does not fix g(pi/2)
+            ("IV", {"reflection": lambda g: (SIGMA, 1, SIGMA)}),
+        ],
+        ids=["iv_without_sigma", "iii_moved_base_point", "ii_inversion", "iv_sigma_conjugation"],
+    )
+    def test_a_wrong_isometry_fails(self, ty, changes):
+        assert not verify_reflection(dataclasses.replace(action_spec(ty), **changes))
 
 
 class TestSingularOrbits:

@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from g2orbits.actions import _random_lifted_g2 as random_lifted_g2  # noqa: F401
 from g2orbits.linalg import expm, norm_g
-from g2orbits.triality import named_subalgebra
+from g2orbits.triality import named_subalgebra, spin_lift_exp
 
 
 def random_skew(rng, scale=1.0):
@@ -21,6 +20,11 @@ def random_g2_matrix(rng):
 
 def random_g2_group_element(rng):
     return expm(random_g2_matrix(rng), rng.uniform(0.0, np.pi))
+
+
+def random_lifted_g2(rng):
+    """The Spin(7) lift of a random G2 element exp(t X), |X| = 1."""
+    return spin_lift_exp(random_g2_matrix(rng), float(rng.uniform(0.0, np.pi)))
 
 
 def lift_generators(spec, x):
