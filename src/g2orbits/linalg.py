@@ -3,9 +3,10 @@
 Provides the standard basis G_ij of so(8) acting on octonion coefficient
 vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2 (their G terms are derived
-from the octonion sign and index tables), the matrix bracket, the
-invariant inner product <X, Y> = -tr(XY)/2, a matrix exponential at one
-parameter or a whole array of them, orthonormal bases of spans from
+from the octonion sign and index tables), the matrix bracket, the invariant
+inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter or
+a whole array of them (for Spin(7) lifts, the reflection isometries, demos
+and tests; orbit frames use a closed form), orthonormal bases of spans from
 LAPACK's singular value decomposition (the numerical rank counts the
 singular values above a tolerance relative to the largest one, also for a
 stack of matrices), orthogonal complements, and symmetric eigenvalues from

@@ -18,10 +18,12 @@ is tensorial), so any exact solution is acceptable.
 
 One kernel, :func:`_frames`, computes every frame, in orthonormal
 coordinates e_a of the ambient algebra and for a whole block of t at once.
-One SVD R = U S V^T of the coordinate rows R of Ad(g(t))^{-1} h_p and k_q
-gives the tangent rank, the tangent basis (the first rows of V^T), the
-normal basis (the other rows) and the minimum-norm lifts (columns
-U_i / S_i).  With T the tangent rows, P the rows of Ad^{-1} X_i + Y_i and
+It forms g(t) = I + sin t X + 2 sin^2(t/2) X^2, exact since
+:func:`action_spec` certifies X^3 = -X.  One SVD R = U S V^T of the
+coordinate rows R of Ad(g(t))^{-1} h_p and k_q gives the tangent rank, the
+tangent basis (the first rows of V^T), the normal basis (the other rows)
+and the minimum-norm lifts (columns U_i / S_i, refined once).  With T the
+tangent rows, P the rows of Ad^{-1} X_i + Y_i and
 ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
 Orbit frames, shape operators in any normal, spectrum reports (at one t,
 or with :func:`spectrum_reports` over an array of t), and H and |A|^2
@@ -92,7 +94,8 @@ class ActionSpec(ActionRecord):
     ambient: NamedSubalgebra
     h: NamedSubalgebra
     k: NamedSubalgebra
-    geodesic_generator: np.ndarray
+    geodesic_generator: np.ndarray  # X, with X^3 = -X certified
+    geodesic_square: np.ndarray  # X^2
     section_generator: np.ndarray
     ambient_rows: np.ndarray  # (d, 64), the e_a as rows
     k_coords: np.ndarray  # (k.dim, d), coordinates of the basis of k
@@ -107,6 +110,10 @@ def action_spec(action_type: str) -> ActionSpec:
     ambient = named_subalgebra(record.ambient_name)
     k = named_subalgebra(record.k_name)
     section = v_elem(4, *record.section)
+    x = v_elem(4, *record.geodesic)
+    defect = np.abs(x @ x @ x + x).max()
+    if defect > 1e-12:
+        raise ValueError(f"type {action_type}: geodesic X^3 = -X fails (defect {defect:.3e})")
     rows = _to_rows(ambient.basis)
     unit_section = _to_rows(section[None])[0] @ rows.T
     unit_section /= np.linalg.norm(unit_section)
@@ -115,7 +122,8 @@ def action_spec(action_type: str) -> ActionSpec:
         ambient=ambient,
         h=named_subalgebra(record.h_name),
         k=k,
-        geodesic_generator=v_elem(4, *record.geodesic),
+        geodesic_generator=x,
+        geodesic_square=x @ x,
         section_generator=section,
         ambient_rows=rows,
         k_coords=_to_rows(k.basis) @ rows.T,
@@ -153,23 +161,31 @@ class OrbitFrame:
         return self.tangent.dim
 
 
+def _geodesic(spec: ActionSpec, t) -> np.ndarray:
+    """g(t) = exp(tX) = I + sin t X + 2 sin^2(t/2) X^2 at each entry of ``t``."""
+    ts = np.asarray(t, dtype=float)[..., None, None]
+    x, x2 = spec.geodesic_generator, spec.geodesic_square
+    return np.eye(8) + np.sin(ts) * x + 2 * np.sin(ts / 2) ** 2 * x2
+
+
 def _frames(spec: ActionSpec, ts: np.ndarray):
     """The frame kernel: ``x, vt, dim, lifts, residual`` at each parameter
     of ``ts``, from one SVD R = U diag(sing) V^T of the generator rows R.
 
     The rows of R are the ambient coordinates of Ad(g(t))^{-1} h_p, whose
     projection onto the ambient algebra must leave a residual of at most
-    1e-9, followed by those of k_q.  x is g(t); the tangent rows are
-    vt[:, :dim] and the normal rows vt[:, dim:].  ``dim`` is the largest
-    numerical rank of the block; a parameter of lower rank raises
+    1e-9, followed by those of k_q.  x is :func:`_geodesic`; the tangent
+    rows are vt[:, :dim] and the normal rows vt[:, dim:].  ``dim`` is the
+    largest numerical rank of the block; a parameter of lower rank raises
     :class:`SingularOrbitError` with its codimension.  The lift
-    coefficients C = U[:, :dim] / sing[:dim] solve C^T R = V^T[:dim] up to
-    ``residual`` (at most 1e-9); row p of C weighs the p-th generator, so
-    C^T R with the k rows negated gives ``lifts``, the rows of
-    Ad^{-1} X_i + Y_i.
+    coefficients C = U[:, :dim] / sing[:dim], refined once by
+    C += C V^T[:dim] E^T with E = V^T[:dim] - C^T R (their error of about
+    eps cond(R) goes), solve C^T R = V^T[:dim] up to ``residual`` (at most
+    1e-9); row p of C weighs the p-th generator, so C^T R with the k rows
+    negated gives ``lifts``, the rows of Ad^{-1} X_i + Y_i.
     """
     d = spec.ambient.dim
-    x = expm(spec.geodesic_generator, ts)
+    x = _geodesic(spec, ts)
     moved = np.swapaxes(x, 1, 2)[:, None] @ spec.h.basis @ x[:, None]
     moved_rows = moved.reshape(moved.shape[:2] + (64,))
     moved_rows /= np.sqrt(2.0)  # the coordinates of _to_rows, in place
@@ -193,6 +209,8 @@ def _frames(spec: ActionSpec, ts: np.ndarray):
             codimension=int(d - dims[i]),
         )
     coeffs = u[..., :dim] / sing[..., None, :dim]
+    err = vt[:, :dim] - np.swapaxes(coeffs, 1, 2) @ rows
+    coeffs += coeffs @ (vt[:, :dim] @ np.swapaxes(err, 1, 2))
     residual = np.abs(np.swapaxes(coeffs, 1, 2) @ rows - vt[:, :dim]).max(
         axis=(1, 2), initial=0.0
     )

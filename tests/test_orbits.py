@@ -5,13 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from g2orbits.actions import ACTIONS, ActionRecord
+from g2orbits.actions import ACTIONS, ActionRecord, action_record
 from g2orbits.classify import principal_interval
-from g2orbits.linalg import g_basis, inner_g, v_elem, zeta
+from g2orbits.linalg import expm, g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
     SingularOrbitError,
+    _geodesic,
     action_spec,
     curvature_invariants,
     is_austere,
@@ -55,6 +57,44 @@ class TestActionSpecs:
             spec = action_spec(ty)
             for field in dataclasses.fields(ActionRecord):
                 assert getattr(spec, field.name) is getattr(ACTIONS[ty], field.name), field.name
+
+
+class TestGeodesic:
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_closed_form_matches_the_series_and_scipy(self, ty):
+        spec = action_spec(ty)
+        x = spec.geodesic_generator
+        # every parameter range and the isometries' g(pi), g(+-pi/2); past
+        # |t| = pi scipy's own error grows (6e-14 at 2 pi)
+        ts = np.concatenate([np.linspace(-np.pi, np.pi, 61), np.arange(-2, 3) * np.pi / 2])
+        g = _geodesic(spec, ts)
+        assert np.abs(g - expm(x, ts)).max() < 1e-14
+        for t, g_t in zip(ts, g):
+            assert np.abs(g_t - scipy.linalg.expm(t * x)).max() < 1e-14
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_closed_form_matches_a_40_digit_exponential(self, ty):
+        mpmath = pytest.importorskip("mpmath")
+        spec = action_spec(ty)
+        x = mpmath.matrix(spec.geodesic_generator.tolist())
+        with mpmath.workdps(40):
+            for t in (0.3, 1.1, 2.0, -2.5, 5.9):
+                exact = np.array(mpmath.expm(mpmath.mpf(t) * x).tolist(), dtype=float)
+                assert np.abs(_geodesic(spec, t) - exact).max() < 1e-15
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_closed_form_is_orthogonal(self, ty):
+        ts = np.linspace(-2 * np.pi, 2 * np.pi, 201)
+        ts = np.concatenate([ts, np.arange(-4, 5) * np.pi / 2])
+        g = _geodesic(action_spec(ty), ts)
+        assert np.abs(g @ np.swapaxes(g, 1, 2) - np.eye(8)).max() < 1e-14
+
+    def test_generator_breaking_the_cube_identity_is_refused(self, monkeypatch):
+        # twice type II's generator V4(1, -1, 0) has X^3 = -4X
+        doubled = dataclasses.replace(ACTIONS["II"], action_type="2II", geodesic=(2, -2, 0))
+        monkeypatch.setitem(ACTIONS, "2II", doubled)
+        with pytest.raises(ValueError, match=r"X\^3 = -X fails \(defect 6\.000e\+00\)"):
+            action_spec("2II")
 
 
 class TestOrbitDimensions:
@@ -269,6 +309,19 @@ class TestFrameKernel:
                 tol = 1e-12 * max(1.0, abs(oracle))
                 assert abs(value - scalar) <= tol
                 assert abs(value - oracle) <= tol
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_refined_lifts_at_the_clipped_window_ends(self, ty):
+        # cond(R) grows like 1/|t - s| near a singular s, and the refined
+        # lifts keep their residual small there.  H and |A|^2 are checked
+        # at 1e-4 only: at pi/2 - 1e-4 the rounding of t itself dominates.
+        spec = action_spec(ty)
+        for t in principal_interval(spec):
+            assert orbit_frame(spec, t).lift_residual <= 1e-11
+        record = action_record(ty)
+        mean, norm = curvature_invariants(spec, 1e-4)
+        assert mean == pytest.approx(record.mean_curvature(1e-4), rel=2.5e-13)
+        assert norm == pytest.approx(record.norm_sq(1e-4), rel=2.5e-13)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_invariants_are_mean_curvature_and_norm_sq(self, ty, rng):
