@@ -174,15 +174,16 @@ def _frames(spec: ActionSpec, ts: np.ndarray):
 
     The rows of R are the ambient coordinates of Ad(g(t))^{-1} h_p, whose
     projection onto the ambient algebra must leave a residual of at most
-    1e-9, followed by those of k_q.  x is :func:`_geodesic`; the tangent
-    rows are vt[:, :dim] and the normal rows vt[:, dim:].  ``dim`` is the
-    largest numerical rank of the block; a parameter of lower rank raises
-    :class:`SingularOrbitError` with its codimension.  The lift
+    1e-9, followed by those of k_q.  x is g(t) from :func:`_geodesic`; the
+    tangent rows are vt[:, :dim] and the normal rows vt[:, dim:].  ``dim``
+    is the largest numerical rank of the block; a parameter of lower rank
+    raises :class:`SingularOrbitError` with its codimension.  The lift
     coefficients C = U[:, :dim] / sing[:dim], refined once by
-    C += C V^T[:dim] E^T with E = V^T[:dim] - C^T R (their error of about
-    eps cond(R) goes), solve C^T R = V^T[:dim] up to ``residual`` (at most
-    1e-9); row p of C weighs the p-th generator, so C^T R with the k rows
-    negated gives ``lifts``, the rows of Ad^{-1} X_i + Y_i.
+    C += C V^T[:dim] E^T with E = V^T[:dim] - C^T R (which removes their
+    error of about eps cond(R)), solve C^T R = V^T[:dim] up to
+    ``residual`` (at most 1e-9); row p of C weighs the p-th generator, so
+    C^T R with the k rows negated gives ``lifts``, the rows of
+    Ad^{-1} X_i + Y_i.
     """
     d = spec.ambient.dim
     x = _geodesic(spec, ts)
