@@ -15,6 +15,13 @@ from g2orbits import (
 )
 from g2orbits.classify import closed_form_spectrum
 
+
+def fixed(v: float) -> str:
+    """``v`` to 12 decimals, rounded first so that a rounding residue of a
+    zero prints as +0.000000000000 whatever its sign."""
+    return f"{round(v, 12) + 0.0:+.12f}"
+
+
 print("Orbit dimension profiles (endpoints and a principal parameter):")
 for ty in ("II", "III", "IV", "V"):
     spec = action_spec(ty)
@@ -33,14 +40,14 @@ except SingularOrbitError as err:
 print("\nSpectrum of a type III principal orbit at t = pi/2 (the minimal one):")
 rep = spectrum_report(action_spec("III"), np.pi / 2)
 for v, m in rep.curvatures:
-    print(f"  {v:+.12f}  x {m}")
+    print(f"  {fixed(v)}  x {m}")
 print(f"  mean curvature {rep.mean_curvature:+.2e}   austere {rep.austere}")
 
 print("\nEngine vs closed forms, type V at t = 1.2:")
 rep = spectrum_report(action_spec("V"), 1.2)
 ref = closed_form_spectrum("V", 1.2)
 for (v, m), (w, n) in zip(rep.curvatures, ref):
-    print(f"  engine {v:+.12f} x{m:d}   closed form {w:+.12f} x{n:d}"
+    print(f"  engine {fixed(v)} x{m:d}   closed form {fixed(w)} x{n:d}"
           f"   delta {abs(v - w):.1e}")
 
 

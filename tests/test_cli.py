@@ -59,6 +59,13 @@ class TestOrbit:
         assert main(["orbit", "--type", "II", "--t", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ty, t", [("IV", 3e-9), ("IV", -3e-9), ("II", np.pi / 2 - 1e-7), ("II", np.pi / 2 + 1e-7)]
+    )
+    def test_parameter_next_to_a_singular_end_is_an_error(self, capsys, ty, t):
+        assert main(["orbit", "--type", ty, f"--t={t!r}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_type_rejected(self):
         with pytest.raises(SystemExit):
             main(["orbit", "--type", "VII", "--t", "0.4"])

@@ -26,3 +26,5 @@ def test_demo_exits_zero(demo):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # values are rounded to their printed digits, so a zero never prints signed
+    assert "-0.000000000000" not in result.stdout

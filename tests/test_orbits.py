@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from g2orbits import orbits
 from g2orbits.actions import ACTIONS, ActionRecord, action_record
-from g2orbits.classify import principal_interval
+from g2orbits.classify import classify_type, principal_interval
 from g2orbits.linalg import expm, g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
@@ -26,11 +27,14 @@ from g2orbits.orbits import (
     unit_normal,
     verify_reflection,
 )
-from g2orbits.triality import SIGMA
+from g2orbits.triality import SIGMA, named_subalgebra
 
 from util import lift_generators, shape_oracle
 
 ALL_TYPES = ("II", "III", "IV", "V")
+
+#: Orbit dimensions at the two ends of each type's parameter range.
+END_DIMS = {"II": (10, 11), "III": (14, 20), "IV": (17, 17), "V": (15, 19)}
 
 
 class TestActionSpecs:
@@ -51,6 +55,21 @@ class TestActionSpecs:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             action_spec("VI")
+
+    def test_corrupted_k_basis_is_refused(self, monkeypatch):
+        # su3 with its first basis element stretched by 0.1%
+        def stretched(name):
+            sub = named_subalgebra(name)
+            if name != "su3":
+                return sub
+            basis = sub.basis.copy()
+            basis[0] *= 1.001
+            return dataclasses.replace(sub, basis=basis)
+
+        monkeypatch.setattr(orbits, "named_subalgebra", stretched)
+        monkeypatch.setitem(ACTIONS, "kII", dataclasses.replace(ACTIONS["II"], action_type="kII"))
+        with pytest.raises(ValueError, match=r"not an orthogonal basis \(defect 2\.001e-03\)"):
+            action_spec("kII")
 
     def test_spec_carries_its_record(self):
         for ty in ALL_TYPES:
@@ -322,6 +341,55 @@ class TestFrameKernel:
         mean, norm = curvature_invariants(spec, 1e-4)
         assert mean == pytest.approx(record.mean_curvature(1e-4), rel=2.5e-13)
         assert norm == pytest.approx(record.norm_sq(1e-4), rel=2.5e-13)
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
+        spec = action_spec(ty)
+        q = spec.k.dim
+        stacks, frames = [], []
+        svd, kernel = orbits.ranked_svd, orbits._frames
+
+        def spied_svd(rows, *args, **kwargs):
+            stacks.append(rows.shape)
+            return svd(rows, *args, **kwargs)
+
+        def spied_frames(spec, ts):
+            frames.append(kernel(spec, ts))
+            return frames[-1]
+
+        monkeypatch.setattr(orbits, "ranked_svd", spied_svd)
+        monkeypatch.setattr(orbits, "_frames", spied_frames)
+        classify_type.cache_clear()
+        try:
+            classify_type(ty)
+        finally:
+            classify_type.cache_clear()
+        assert stacks and len(stacks) == len(frames)
+        for (n, p, m), (_, vt, _, lifts, _) in zip(stacks, frames):
+            assert (p, m) == (spec.h.dim, spec.ambient.dim - q)
+            assert len(vt) == len(lifts) == n
+            assert (vt[:, :q] == spec.k_coords).all()
+            assert (lifts[:, :q] == -spec.k_coords).all()
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_rank_decisions_at_and_near_the_singular_ends(self, ty):
+        spec = action_spec(ty)
+        principal = spec.ambient.dim - 1
+        end_dims = dict(zip(spec.t_range, END_DIMS[ty]))
+        assert [orbit_frame(spec, t).orbit_dim for t in spec.t_range] == list(END_DIMS[ty])
+        for s in spec.singular_ts:
+            for offset in (1e-6, 1e-5, 1e-4):
+                for t in (s - offset, s + offset):
+                    assert orbit_frame(spec, t).orbit_dim == principal
+            # inside SINGULAR_GUARD the rank is either decided or the lift
+            # residual check refuses the frame
+            for offset in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7):
+                for t in (s - offset, s + offset):
+                    try:
+                        dim = orbit_frame(spec, t).orbit_dim
+                    except ArithmeticError:
+                        continue
+                    assert dim in (principal, end_dims[s])
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_invariants_are_mean_curvature_and_norm_sq(self, ty, rng):
