@@ -92,6 +92,8 @@ def _cluster_tol(args) -> float:
 
 
 def cmd_verify_algebra(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     rows = [
         {"check": r.name, "passed": r.passed, "detail": r.detail}
         for r in verify.run_all(seed=args.seed)

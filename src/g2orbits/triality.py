@@ -11,7 +11,13 @@ Octonions", Bull. AMS 39, 2002).  The involutions
 
 satisfy alpha^2 = beta^2 = id, preserve brackets, and cut out so(7) as the
 fixed set of alpha and g2 as the joint fixed set of beta and gamma; the
-algebra self-checks verify exactly those properties.  The named
+algebra self-checks verify exactly those properties, in the coordinates of
+the 28 matrices G_ij.  They read the brackets from STRUCTURE_CONSTANTS,
+[G_a, G_b] = sum_m c[a, b, m] G_m, built at import from one stacked
+bracket of the 378 pairs a < b; its certificate rebuilds every one of those
+brackets from the table exactly (the entries are -1, 0 and 1) and checks
+the antisymmetry that gives the rest, and raises ArithmeticError naming
+the first defect.  The named
 subalgebras come from one table, SUBALGEBRAS, of dimensions and
 generators; their bracket closure is checked on all basis pairs at once.
 
@@ -39,6 +45,42 @@ from .octonion import MUL_TENSOR, SIGN, INDEX
 
 G_PAIRS = tuple((i, j) for i in range(8) for j in range(i + 1, 8))
 _G_STACK = np.stack([g_basis(i, j) for i, j in G_PAIRS])
+
+
+def certify_structure_constants(table: np.ndarray) -> None:
+    """Raise ArithmeticError unless [G_a, G_b] = sum_m table[a, b, m] G_m
+    holds exactly for every pair: on the 378 pairs a < b by rebuilding the
+    bracket, and on the rest by antisymmetry in (a, b)."""
+    table = np.asarray(table, dtype=float)
+    flipped = np.argwhere(table != -np.swapaxes(table, 0, 1))
+    if len(flipped):
+        a, b, m = flipped[0]
+        raise ArithmeticError(
+            f"structure constants: entry ({a}, {b}, {m}) breaks antisymmetry in (a, b)"
+        )
+    a, b = np.triu_indices(len(_G_STACK), 1)
+    rebuilt = (table[a, b] @ _G_STACK.reshape(-1, 64)).reshape(-1, 8, 8)
+    defects = np.abs(rebuilt - bracket(_G_STACK[a], _G_STACK[b])).max(axis=(1, 2))
+    worst = int(np.argmax(defects))
+    if defects[worst] != 0.0:
+        (i, j), (k, l) = G_PAIRS[a[worst]], G_PAIRS[b[worst]]
+        raise ArithmeticError(
+            f"structure constants: [G_{i}{j}, G_{k}{l}] rebuilt with defect {defects[worst]:.3e}"
+        )
+
+
+def _structure_constants() -> np.ndarray:
+    a, b = np.triu_indices(len(_G_STACK), 1)
+    upper = span_coords(bracket(_G_STACK[a], _G_STACK[b]), _G_STACK)
+    table = np.zeros((len(_G_STACK),) * 3)
+    table[a, b], table[b, a] = upper, -upper
+    certify_structure_constants(table)
+    return table
+
+
+#: Structure constants of so(8) in the G basis, [G_a, G_b] = sum_m
+#: STRUCTURE_CONSTANTS[a, b, m] G_m; the entries are -1, 0 and 1.
+STRUCTURE_CONSTANTS = _structure_constants()
 
 #: Left multiplications: _LEFT[i] @ y = e_i y, so _LEFT[0] is the identity.
 _LEFT = np.swapaxes(MUL_TENSOR, 1, 2)

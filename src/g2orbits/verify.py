@@ -12,7 +12,11 @@ makes the check exact for all inputs and seed-free: the V rules on the
 3 x 3 pairs of basis coefficients, the zeta rules on the basis (1, -1, 0),
 (0, 1, -1) of the coefficients that sum to zero, the triality identities on
 the 28 matrices G_ij and their 378 pairs.  Each identity is evaluated on
-stacks, one matrix product per map (oct_mul, v_elem per axis, beta, span).
+stacks: one oct_mul call for the products, one v_elem call per axis for a
+table of the V elements, one bracket call for all V rules and one for all
+zeta rules.  The triality identities are checked in G coordinates: each
+map becomes a 28 x 28 matrix, and the brackets of the basis are read from
+the structure constants of so(8), so no 8x8 bracket is formed.
 """
 
 from __future__ import annotations
@@ -76,37 +80,50 @@ def check_composition_law(rng) -> CheckResult:
     )
 
 
+def _v_table() -> np.ndarray:
+    """V_axis at the three basis coefficient triples, shape (7, 3, 8, 8):
+    entry [axis - 1, p] is V_axis(e_p), one v_elem call per axis."""
+    return np.stack([la.v_elem(axis, *np.eye(3)) for axis in range(1, 8)])
+
+
 def check_v_bracket_rules() -> CheckResult:
-    """The nine bracket rules, exact on the 3 x 3 pairs of basis coefficients."""
-    exact = True
-    for i, j, k, terms in la.V_BRACKET_RULES:
-        vi, vj = (la.v_elem(a, *np.eye(3)) for a in (i, j))
-        coeffs = np.zeros((3, 3, 3))  # output coefficient m of basis pair (p, q)
+    """The nine bracket rules, exact on the 3 x 3 pairs of basis coefficients:
+    all 81 brackets in one stack, against each rule's coefficient tensor
+    applied to the V table."""
+    v = _v_table()
+    i, j, k, rule_terms = zip(*la.V_BRACKET_RULES)
+    coeffs = np.zeros((len(rule_terms), 3, 3, 3))  # output coefficient m of rule r on pair (p, q)
+    for r, terms in enumerate(rule_terms):
         for m, term in enumerate(terms):
             for sgn, p, q in term:
-                coeffs[m, p, q] += sgn
-        exact &= np.array_equal(la.bracket(vi[:, None], vj[None]), la.v_elem(k, *coeffs))
+                coeffs[r, p, q, m] += sgn
+    lhs = la.bracket(v[np.array(i) - 1][:, :, None], v[np.array(j) - 1][:, None])
+    rhs = coeffs.reshape(-1, 9, 3) @ v[np.array(k) - 1].reshape(-1, 3, 64)
     return _result(
         "V subspace bracket rules",
-        exact,
+        np.array_equal(lhs, rhs.reshape(lhs.shape)),
         "9 rules x 3 x 3 basis coefficient pairs, exact equality",
     )
 
 
 def check_zeta_bracket_rules() -> CheckResult:
     """The six zeta bracket rules, exact on the two basis triples of the
-    coefficients that sum to zero."""
+    coefficients that sum to zero: all 12 brackets in one stack."""
     traceless = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    exact = True
-    for slot, i, j, selector in la.ZETA_BRACKET_RULES:
-        zeta_first = slot == "zeta_first"
-        v = la.v_elem(j if zeta_first else i, *traceless.T)
-        lhs = la.bracket(la.zeta(i), v) if zeta_first else la.bracket(v, la.zeta(j))
-        rhs = np.einsum("g,ab->gab", traceless @ np.asarray(selector, dtype=float), la.zeta(4))
-        exact &= np.array_equal(lhs, rhs)
+    v = _v_table()
+    zetas = v.sum(axis=1)[:, None]  # zeta_axis = V_axis(1, 1, 1)
+    v_traceless = (traceless @ v.reshape(7, 3, 64)).reshape(7, 2, 8, 8)
+    slots, i, j, selectors = zip(*la.ZETA_BRACKET_RULES)
+    i, j = np.array(i) - 1, np.array(j) - 1
+    zeta_first = (np.array(slots) == "zeta_first")[:, None, None, None]
+    lhs = la.bracket(
+        np.where(zeta_first, zetas[i], v_traceless[i]),
+        np.where(zeta_first, v_traceless[j], zetas[j]),
+    )
+    multiples = np.array(selectors, dtype=float) @ traceless.T
     return _result(
         "zeta bracket rules",
-        exact,
+        np.array_equal(lhs, multiples[:, :, None, None] * zetas[3]),
         "6 rules x 2 basis coefficient triples, exact equality",
     )
 
@@ -114,19 +131,35 @@ def check_zeta_bracket_rules() -> CheckResult:
 def check_triality_involutions() -> CheckResult:
     """alpha^2 = beta^2 = id on the 28 basis matrices G_ij, bracket
     preservation on their 378 pairs (the bracket is antisymmetric), and the
-    fixed-set dimensions."""
+    fixed-set dimensions, all in G coordinates.
+
+    M_phi is the 28 x 28 matrix whose column a holds the G coordinates of
+    phi(G_a); the residual of each image off so(8) is checked, so M_phi
+    represents phi there.  With the structure constants c of the G basis,
+    phi preserves brackets when M c(e_a, e_b) = c(M e_a, M e_b).  All
+    entries are dyadic, so a sound triality reports the defect 0.
+    """
     g = tri._G_STACK
-    images = {phi: phi(g) for phi in (tri.alpha, tri.beta, tri.gamma)}
-    a, b = np.triu_indices(len(g), 1)
-    brackets = la.bracket(g[a], g[b])
-    defects = [tri.alpha(images[tri.alpha]) - g, tri.beta(images[tri.beta]) - g] + [
-        phi(brackets) - la.bracket(img[a], img[b]) for phi, img in images.items()
-    ]
-    worst = max(float(np.abs(d).max()) for d in defects)
-    # phi - id in G coordinates: column m comes from the image of G_m.
-    alpha_id, beta_id, gamma_id = (la.span_coords(img, g).T - np.eye(28) for img in images.values())
-    dim_so7 = 28 - np.linalg.matrix_rank(alpha_id, tol=1e-9)
-    dim_g2 = 28 - np.linalg.matrix_rank(np.vstack([beta_id, gamma_id]), tol=1e-9)
+    c = tri.STRUCTURE_CONSTANTS
+    n = len(g)
+    a, b = np.triu_indices(n, 1)
+    brackets = c[a, b]
+    eye = np.eye(n)
+    worst = 0.0
+    minus_id = []  # phi - id in G coordinates
+    for phi in (tri.alpha, tri.beta, tri.gamma):
+        image = phi(g)
+        m = la.span_coords(image, g).T
+        off_so8 = image - (m.T @ g.reshape(n, 64)).reshape(image.shape)
+        # c(M e_a, M e_b): contract the first slot of c with M, then the second.
+        of_images = np.matmul(m.T, (m.T @ c.reshape(n, -1)).reshape(n, n, n))[a, b]
+        defects = [off_so8, brackets @ m.T - of_images]
+        if phi is not tri.gamma:
+            defects.append(m @ m - eye)
+        worst = max([worst] + [float(np.abs(d).max()) for d in defects])
+        minus_id.append(m - eye)
+    dim_so7 = n - np.linalg.matrix_rank(minus_id[0], tol=1e-9)
+    dim_g2 = n - np.linalg.matrix_rank(np.vstack(minus_id[1:]), tol=1e-9)
     ok = worst <= 1e-10 and dim_so7 == 21 and dim_g2 == 14
     return _result(
         "triality involutions and fixed sets",

@@ -32,6 +32,11 @@ class TestVerifyAlgebra:
         assert doc["meta"]["command"] == "verify-algebra"
         assert all(row["passed"] for row in doc["rows"])
 
+    def test_negative_seed_is_an_error(self, capsys):
+        assert main(["verify-algebra", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
 
 class TestOrbit:
     def test_t_and_s_agree(self, capsys):

@@ -1,5 +1,7 @@
 """Algebra self-checks catch defects in the algebra they check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,76 @@ def test_triality_involutions_reject_a_corrupted_f_basis(monkeypatch, corrupt):
     assert verify.check_triality_involutions().passed
     monkeypatch.setattr(triality, "_F_STACK", corrupted)
     assert not verify.check_triality_involutions().passed
+
+
+def test_triality_involutions_reject_an_involution_that_breaks_brackets(monkeypatch):
+    # x -> -(conj x conj) squares to the identity, but [-aX, -aY] = a[X, Y].
+    def negated_alpha(x):
+        return -(triality._CONJ @ x @ triality._CONJ)
+
+    stack = triality._G_STACK
+    assert np.array_equal(negated_alpha(negated_alpha(stack)), stack)
+    monkeypatch.setattr(triality, "alpha", negated_alpha)
+    result = verify.check_triality_involutions()
+    assert not result.passed
+    # The square and the images are exact; the defect 2 is [G_a, G_b] against -[G_a, G_b].
+    assert result.detail.startswith("worst identity defect 2.00e+00 ")
+    assert "dim Fix(alpha) = 7," in result.detail
+
+
+def test_triality_detail_is_exact_at_seed_0():
+    result = verify.run_all(0)[4]
+    assert result.detail == (
+        "worst identity defect 0.00e+00 on 28 basis matrices and 378 pairs, "
+        "dim Fix(alpha) = 21, dim Fix(beta) & Fix(gamma) = 14"
+    )
+
+
+@pytest.mark.parametrize(
+    "mirrored, message",
+    [
+        (False, "structure constants: entry (0, 6, 12) breaks antisymmetry in (a, b)"),
+        (True, "structure constants: [G_01, G_07] rebuilt with defect 2.000e+00"),
+    ],
+    ids=["one_entry", "mirrored_pair"],
+)
+def test_structure_constant_certificate_rejects_a_flipped_sign(mirrored, message):
+    # [G_01, G_07] = G_17; in the order of G_PAIRS these are G_0, G_6 and G_12.
+    table = triality.STRUCTURE_CONSTANTS.copy()
+    assert table[0, 6, 12] == 1.0
+    table[0, 6, 12] = -1.0
+    if mirrored:
+        table[6, 0, 12] = 1.0
+    triality.certify_structure_constants(triality.STRUCTURE_CONSTANTS)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        triality.certify_structure_constants(table)
+
+
+def test_stacked_checks_bracket_in_one_call(monkeypatch):
+    # The triality check reads brackets from the structure constants; the V
+    # and zeta checks bracket every rule in one stack.
+    calls = []
+    exact = linalg.bracket
+
+    def spy(x, y):
+        calls.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return exact(x, y)
+
+    monkeypatch.setattr(linalg, "bracket", spy)
+    shapes = {}
+    for check in (
+        verify.check_triality_involutions,
+        verify.check_v_bracket_rules,
+        verify.check_zeta_bracket_rules,
+    ):
+        calls.clear()
+        assert check().passed
+        shapes[check.__name__] = list(calls)
+    assert shapes == {
+        "check_triality_involutions": [],
+        "check_v_bracket_rules": [(9, 3, 3, 8, 8)],
+        "check_zeta_bracket_rules": [(6, 2, 8, 8)],
+    }
 
 
 @pytest.mark.parametrize("phi", ["alpha", "beta", "gamma"])
