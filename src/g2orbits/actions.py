@@ -3,8 +3,9 @@
 An :class:`ActionRecord` holds the data of the geometry (subalgebra names
 of the ambient algebra, H and K; V4 coefficients of the geodesic and
 section generators; the parameter range, its singular ends and the section
-ratio t = ratio * s), closed forms in t of the principal curvatures, the
-mean curvature H and |A|^2, the minimal parameter with its austere verdict,
+ratio t = ratio * s), closed forms in t of the principal curvatures (the
+only closed form of the shape operator: H and |A|^2 are its first and
+second moments), the minimal parameter with its austere verdict,
 the proper biharmonic parameters, the orbit-reversing isometry
 x -> a x^eps b of types III and IV as the data (a, eps, b) that
 :func:`g2orbits.orbits.verify_reflection` certifies, and the note on the
@@ -50,22 +51,6 @@ def _spectrum_ii(t: float) -> list[tuple[float, int]]:
     return ev
 
 
-def _norm_sq_ii(t: float) -> float:
-    th, ch = np.tan(t / 2), _cot(t / 2)
-    tn, ct = np.tan(t), _cot(t)
-    return (th * th + ch * ch) / 6.0 + (16 * tn * tn + 16 * ct * ct + 12) / 12.0
-
-
-def _norm_sq_iv(t: float) -> float:
-    c, tn = _cot(t / 2), np.tan(t / 2)
-    return 2.25 * (c * c + tn * tn) + 2.0
-
-
-def _norm_sq_v(t: float) -> float:
-    c, tn = _cot(t), np.tan(t)
-    return (90 * c * c + 18 * tn * tn + 48) / 24.0
-
-
 def _note_v(biharmonic: tuple[float, ...]) -> str:
     targets = ((16 - np.sqrt(211.0)) / 3, (16 + np.sqrt(211.0)) / 3)
     residuals = [abs(np.tan(r) ** 2 - target) for r, target in zip(biharmonic, targets)]
@@ -94,8 +79,6 @@ class ActionRecord:
     section_ratio: float
     singular_ts: tuple[float, ...]
     spectrum: Callable[[float], list[tuple[float, int]]]  # (value, multiplicity)
-    mean_curvature: Callable[[float], float]
-    norm_sq: Callable[[float], float]
     minimal_t: float
     austere: bool  # verdict at the minimal orbit
     biharmonic_t: tuple[float, ...]
@@ -115,8 +98,6 @@ ACTIONS = {
             einstein_constant=8.0, geodesic=(1, -1, 0), section=(2, -1, -1),
             t_range=(0.0, _HALF_PI), section_ratio=2.0, singular_ts=(0.0, _HALF_PI),
             spectrum=_spectrum_ii,
-            mean_curvature=lambda t: (4 * np.tan(t) - 6 * _cot(t)) / _R6,
-            norm_sq=_norm_sq_ii,
             minimal_t=float(np.arctan(np.sqrt(1.5))),
             austere=False,
             biharmonic_t=(
@@ -129,8 +110,6 @@ ACTIONS = {
             einstein_constant=10.0, geodesic=(1, 0, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0,),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 6),
-            mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
-            norm_sq=lambda t: 4.5 * _cot(t) * _cot(t) + 2.0,
             minimal_t=float(np.pi / 2),
             austere=True,
             biharmonic_t=(float(np.arctan(3.0 / 4.0)),),  # arccot(4/3)
@@ -141,8 +120,6 @@ ACTIONS = {
             einstein_constant=10.0, geodesic=(1, 0, 0), section=(1, 1, 1),
             t_range=(0.0, np.pi), section_ratio=3.0, singular_ts=(0.0, np.pi),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t / 2), 3) + _pair(-np.tan(t / 2), 3),
-            mean_curvature=lambda t: -3 * np.sqrt(3.0) * _cot(t),
-            norm_sq=_norm_sq_iv,
             minimal_t=float(np.pi / 2),
             austere=True,
             biharmonic_t=(  # arccot(sqrt(14)/6) and its mirror
@@ -156,8 +133,6 @@ ACTIONS = {
             einstein_constant=10.0, geodesic=(0, 1, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0, _HALF_PI),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 5) + _pair(-np.tan(t), 1),
-            mean_curvature=lambda t: -np.sqrt(3.0) * (_cot(2 * t) + 2 * _cot(t)),
-            norm_sq=_norm_sq_v,
             minimal_t=float(np.arctan(np.sqrt(5.0))),
             austere=False,
             biharmonic_t=(

@@ -26,7 +26,7 @@ from g2orbits.orbits import (
 )
 from g2orbits.triality import rp7_invariant, spin_lift_exp
 
-from util import random_lifted_g2
+from util import MEAN_CURVATURE, random_lifted_g2
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -118,12 +118,6 @@ def test_criterion_4_spectrum_fidelity():
 
 def test_criterion_5_mean_curvature_closed_forms():
     rng = np.random.default_rng(5)
-    closed = {
-        "II": lambda t: (4 * np.tan(t) - 6 / np.tan(t)) / np.sqrt(6.0),
-        "III": lambda t: -3 * np.sqrt(3.0) / np.tan(t),
-        "IV": lambda t: -3 * np.sqrt(3.0) / np.tan(t),
-        "V": lambda t: -np.sqrt(3.0) * (1 / np.tan(2 * t) + 2 / np.tan(t)),
-    }
     ok = True
     worst = 0.0
     for ty in ALL_TYPES:
@@ -131,7 +125,7 @@ def test_criterion_5_mean_curvature_closed_forms():
         lo, hi = spec.t_range
         span = hi - lo
         for t in rng.uniform(lo + 0.02 * span, hi - 0.02 * span, size=20):
-            deviation = abs(mean_curvature(spec, float(t)) - closed[ty](float(t)))
+            deviation = abs(mean_curvature(spec, float(t)) - MEAN_CURVATURE[ty](float(t)))
             worst = max(worst, deviation)
             ok &= deviation < 1e-8
     identity_worst = max(

@@ -32,6 +32,8 @@ from g2orbits.classify import (
 )
 from g2orbits.orbits import action_spec, curvature_invariants, is_austere, shape_norm_sq
 
+from util import MEAN_CURVATURE, spectrum_moments
+
 ALL_TYPES = ("II", "III", "IV", "V")
 
 
@@ -103,15 +105,8 @@ class TestNormSqClosedForms:
             lo, hi = spec.t_range
             for t in rng.uniform(lo + 0.1, hi - 0.1, size=8):
                 engine = shape_norm_sq(spec, float(t))
-                reference = action_record(ty).norm_sq(float(t))
+                reference = spectrum_moments(action_record(ty), float(t))[1]
                 assert abs(engine - reference) < 1e-8
-
-    def test_norm_sq_equals_spectrum_moment(self, rng):
-        for ty in ALL_TYPES:
-            t = float(rng.uniform(0.4, 1.1))
-            spectrum = closed_form_spectrum(ty, t)
-            moment = sum(v * v * m for v, m in spectrum)
-            assert moment == pytest.approx(action_record(ty).norm_sq(t), rel=1e-12)
 
     def test_profile_shapes(self):
         # |shape|^2 is decreasing for type III and valley-shaped for the
@@ -120,7 +115,7 @@ class TestNormSqClosedForms:
             spec = action_spec(ty)
             lo, hi = principal_interval(spec)
             ts = np.linspace(lo, hi, 400)
-            vals = np.array([action_record(ty).norm_sq(t) for t in ts])
+            vals = spectrum_moments(action_record(ty), ts)[1]
             signs = np.sign(np.diff(vals))
             signs = signs[signs != 0.0]
             sign_changes = int(np.sum(np.diff(signs) != 0))
@@ -282,9 +277,10 @@ class TestRootFinding:
         n = FOURIER_FIRST_N
         ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
         (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
+        closed_h, closed_norm_sq = spectrum_moments(record, ts)
         for engine, closed_form in [
-            (w * h, w * record.mean_curvature(ts)),
-            (w**2 * norm_sq, w**2 * record.norm_sq(ts)),
+            (w * h, w * closed_h),
+            (w**2 * norm_sq, w**2 * closed_norm_sq),
         ]:
             bound = 1e-10 * np.maximum(1.0, np.abs(closed_form))
             assert np.all(np.abs(engine - closed_form) <= bound)
@@ -353,7 +349,7 @@ def _closed_form_roots(ty: str, lam: float) -> list[float]:
     dense sign scan and bisection, the oracle of the Fourier root finder."""
 
     def g(t):
-        return action_record(ty).norm_sq(t) - lam
+        return spectrum_moments(action_record(ty), t)[1] - lam
 
     ts = np.linspace(*principal_interval(action_spec(ty)), 20001)
     values = g(ts)
@@ -403,10 +399,11 @@ class TestClassification:
             (2.0 / 3.0) * np.arctan(3.0 / 4.0), abs=1e-10
         )
 
-    def test_mean_closed_form_consistency(self, rng):
+    def test_mean_closed_form_consistency(self):
+        # The spectrum's first moment is the hand-written H over a whole
+        # period, at odd multiples of pi/64 (none of them singular).
+        ts = np.pi * np.arange(1, 128, 2) / 64
         for ty in ALL_TYPES:
-            spec = action_spec(ty)
-            t = float(rng.uniform(0.4, min(1.2, spec.t_range[1] - 0.2)))
-            spectrum = closed_form_spectrum(ty, t)
-            total = sum(v * m for v, m in spectrum)
-            assert total == pytest.approx(action_record(ty).mean_curvature(t), abs=1e-10)
+            moment = spectrum_moments(action_record(ty), ts)[0]
+            expected = MEAN_CURVATURE[ty](ts)
+            assert np.all(np.abs(moment - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))

@@ -10,7 +10,7 @@ import scipy.linalg
 from g2orbits import orbits
 from g2orbits.actions import ACTIONS, ActionRecord, action_record
 from g2orbits.classify import classify_type, principal_interval
-from g2orbits.linalg import expm, g_basis, inner_g, v_elem, zeta
+from g2orbits.linalg import NotASubspaceError, expm, g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
     SingularOrbitError,
@@ -29,7 +29,7 @@ from g2orbits.orbits import (
 )
 from g2orbits.triality import SIGMA, named_subalgebra
 
-from util import lift_generators, shape_oracle
+from util import lift_generators, shape_oracle, spectrum_moments
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -57,19 +57,34 @@ class TestActionSpecs:
             action_spec("VI")
 
     def test_corrupted_k_basis_is_refused(self, monkeypatch):
-        # su3 with its first basis element stretched by 0.1%
-        def stretched(name):
-            sub = named_subalgebra(name)
-            if name != "su3":
-                return sub
-            basis = sub.basis.copy()
-            basis[0] *= 1.001
-            return dataclasses.replace(sub, basis=basis)
-
-        monkeypatch.setattr(orbits, "named_subalgebra", stretched)
+        # su3 with its first basis element stretched by 0.1%, and so4_g2
+        # (the h of type II) with 1e-3 G_01, off g2, added to its first
+        corruptions = {
+            "su3": (lambda first: 1.001 * first, r"not an orthogonal basis \(defect 2\.001e-03\)"),
+            "so4_g2": (lambda first: first + 1e-3 * g_basis(0, 1), "leaves the ambient algebra"),
+        }
         monkeypatch.setitem(ACTIONS, "kII", dataclasses.replace(ACTIONS["II"], action_type="kII"))
-        with pytest.raises(ValueError, match=r"not an orthogonal basis \(defect 2\.001e-03\)"):
-            action_spec("kII")
+        for corrupted, (change, message) in corruptions.items():
+
+            def corrupt(name):
+                sub = named_subalgebra(name)
+                if name != corrupted:
+                    return sub
+                basis = sub.basis.copy()
+                basis[0] = change(basis[0])
+                return dataclasses.replace(sub, basis=basis)
+
+            monkeypatch.setattr(orbits, "named_subalgebra", corrupt)
+            with pytest.raises(ValueError, match=message):
+                action_spec("kII")
+
+    def test_replaced_h_leaving_the_ambient_algebra_is_refused(self):
+        # Every spec runs its checks, also one built by dataclasses.replace.
+        spec = action_spec("IV")
+        basis = spec.h.basis.copy()
+        basis[0] += 1e-3 * g_basis(0, 1)  # G_01 is orthogonal to so(7)
+        with pytest.raises(NotASubspaceError, match=r"leaves the ambient algebra \(residual"):
+            dataclasses.replace(spec, h=dataclasses.replace(spec.h, basis=basis))
 
     def test_spec_carries_its_record(self):
         for ty in ALL_TYPES:
@@ -337,10 +352,10 @@ class TestFrameKernel:
         spec = action_spec(ty)
         for t in principal_interval(spec):
             assert orbit_frame(spec, t).lift_residual <= 1e-11
-        record = action_record(ty)
         mean, norm = curvature_invariants(spec, 1e-4)
-        assert mean == pytest.approx(record.mean_curvature(1e-4), rel=2.5e-13)
-        assert norm == pytest.approx(record.norm_sq(1e-4), rel=2.5e-13)
+        closed_mean, closed_norm = spectrum_moments(action_record(ty), 1e-4)
+        assert mean == pytest.approx(closed_mean, rel=2.5e-13)
+        assert norm == pytest.approx(closed_norm, rel=2.5e-13)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
@@ -415,9 +430,10 @@ class TestFrameKernel:
         with pytest.raises(SingularOrbitError) as err:
             mean_curvature(unguarded, ts)
         assert err.value.codimension == 4
-        # a normal that is not orthogonal to the tangent space is refused
+        # a normal that is not orthogonal to the tangent space is refused,
+        # and the principal orbit is not reported as a singular one
         tilted = dataclasses.replace(spec, unit_section=np.eye(spec.ambient.dim)[0])
-        with pytest.raises(SingularOrbitError):
+        with pytest.raises(ArithmeticError, match=r"not normal to the orbit at t=0\.3 \(max"):
             mean_curvature(tilted, ts[:2])
 
     def test_memory_is_bounded_by_the_block(self):

@@ -6,6 +6,23 @@ from g2orbits.linalg import expm, norm_g
 from g2orbits.triality import named_subalgebra, spin_lift_exp
 
 
+#: Hand-written closed forms of the mean curvature H, independent of the
+#: records' spectra, for the engine and the spectra to be checked against.
+MEAN_CURVATURE = {
+    "II": lambda t: (4 * np.tan(t) - 6 / np.tan(t)) / np.sqrt(6.0),
+    "III": lambda t: -3 * np.sqrt(3.0) / np.tan(t),
+    "IV": lambda t: -3 * np.sqrt(3.0) / np.tan(t),
+    "V": lambda t: -np.sqrt(3.0) * (1 / np.tan(2 * t) + 2 / np.tan(t)),
+}
+
+
+def spectrum_moments(record, t):
+    """H and |A|^2 from the closed-form spectrum of ``record``: its first and
+    second moments sum m v and sum m v^2, at t or at each entry of an array."""
+    spectrum = record.spectrum(np.asarray(t, dtype=float))
+    return sum(m * v for v, m in spectrum), sum(m * v * v for v, m in spectrum)
+
+
 def random_skew(rng, scale=1.0):
     m = rng.normal(size=(8, 8)) * scale
     return m - m.T
