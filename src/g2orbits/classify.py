@@ -323,6 +323,7 @@ class ClassificationResult:
     minimal_t: float
     minimal_s: float
     minimal_austere: bool
+    closed_form_austere: bool
     biharmonic_t: tuple[float, ...]
     biharmonic_s: tuple[float, ...]
     closed_form_minimal_t: float
@@ -348,6 +349,11 @@ def classify(spec: ActionSpec) -> ClassificationResult:
             f"minimal parameter {minimal_t!r} deviates from the closed-form "
             f"value {ref_min!r}"
         )
+    if report.austere != spec.austere:
+        notes.append(
+            f"austere verdict {report.austere} of the minimal orbit disagrees with "
+            f"the closed-form verdict {spec.austere}"
+        )
     ref_bi = spec.biharmonic_t
     if len(biharmonic) != len(ref_bi) or any(
         abs(a - b) > PARAMETER_TOLERANCE for a, b in zip(biharmonic, ref_bi)
@@ -364,6 +370,7 @@ def classify(spec: ActionSpec) -> ClassificationResult:
         minimal_t=minimal_t,
         minimal_s=minimal_t / spec.section_ratio,
         minimal_austere=report.austere,
+        closed_form_austere=spec.austere,
         biharmonic_t=biharmonic,
         biharmonic_s=tuple(r / spec.section_ratio for r in biharmonic),
         closed_form_minimal_t=ref_min,

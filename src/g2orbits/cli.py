@@ -26,7 +26,6 @@ from . import __version__, verify
 from .classify import (
     EXPECTED_MULTIPLICITIES,
     PARAMETER_TOLERANCE,
-    REFERENCE_AUSTERE,
     classify_type,
     closed_form_spectrum,
     principal_interval,
@@ -163,7 +162,7 @@ def cmd_classify(args):
                 "closed_form_minimal_t": res.closed_form_minimal_t,
                 "minimal_deviation": dev_min,
                 "minimal_austere": res.minimal_austere,
-                "closed_form_austere": REFERENCE_AUSTERE[ty],
+                "closed_form_austere": res.closed_form_austere,
                 "biharmonic_t": list(res.biharmonic_t),
                 "biharmonic_s": list(res.biharmonic_s),
                 "closed_form_biharmonic_t": list(res.closed_form_biharmonic_t),
@@ -173,7 +172,7 @@ def cmd_classify(args):
                 "notes": list(res.discrepancy_notes),
                 "passed": len(res.biharmonic_t) == len(res.closed_form_biharmonic_t)
                 and max(dev_min, dev_bi) <= PARAMETER_TOLERANCE
-                and res.minimal_austere == REFERENCE_AUSTERE[ty],
+                and res.minimal_austere == res.closed_form_austere,
             }
         )
         if args.format == "json":

@@ -4,9 +4,9 @@ Provides the standard basis G_ij of so(8) acting on octonion coefficient
 vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2 (their G terms are derived
 from the octonion sign and index tables), the matrix bracket, the invariant
-inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter or
-a whole array of them (for Spin(7) lifts, the reflection isometries, demos
-and tests; orbit frames use a closed form), orthonormal bases of spans from
+inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter
+(for Spin(7) lifts, the reflection isometries, demos and tests; orbit
+frames use a closed form), orthonormal bases of spans from
 LAPACK's singular value decomposition (the numerical rank counts the
 singular values above a tolerance relative to the largest one, also for a
 stack of matrices), orthogonal complements, and symmetric eigenvalues from
@@ -120,39 +120,29 @@ def norm_g(x: np.ndarray) -> float:
     return float(np.sqrt(max(inner_g(x, x), 0.0)))
 
 
-def expm(x: np.ndarray, t=1.0) -> np.ndarray:
-    """exp(tX) by scaling and squaring of a truncated power series.
+def expm(x: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(tX) at one parameter ``t`` by scaling and squaring of a truncated
+    power series (Moler & Van Loan, SIAM Rev. 45 (2003)).
 
-    ``t`` is a number or an array of parameters; the result has the shape
-    of ``t`` followed by the shape of ``x``, and each exp(tX) takes its own
-    number of squarings and series terms, as if computed alone.  Accurate
-    to ~1e-13 for ||tX|| up to a few tens; for skew-symmetric X the result
-    is orthogonal with determinant 1.
+    Accurate to ~1e-13 for ||tX|| up to a few tens; for skew-symmetric X
+    the result is orthogonal with determinant 1.
     """
-    x = np.asarray(x, dtype=float)
-    ts = np.asarray(t, dtype=float)
-    if not np.isfinite(ts).all():
-        raise ValueError(f"exp(tX) needs finite parameters, got {t}")
-    n = x.shape[0]
-    a = ts.reshape(-1, 1, 1) * x
-    nrm = np.sqrt(np.sum(a * a, axis=(1, 2)))
-    squarings = np.zeros(len(a), dtype=int)
-    big = nrm > 0.5
-    squarings[big] = np.ceil(np.log2(nrm[big] / 0.5)).astype(int)
-    a = a / (2.0 ** squarings)[:, None, None]
-    out = np.broadcast_to(np.eye(n), a.shape).copy()
-    term = out.copy()
-    active = np.ones(len(a), dtype=bool)
+    if np.ndim(t) != 0 or not np.isfinite(t):
+        raise ValueError(f"exp(tX) needs one finite parameter, got {t!r}")
+    a = float(t) * np.asarray(x, dtype=float)
+    nrm = np.sqrt(np.sum(a * a))
+    squarings = int(np.ceil(np.log2(nrm / 0.5))) if nrm > 0.5 else 0
+    a = a / 2.0**squarings
+    out = np.eye(len(a))
+    term = out
     for k in range(1, 40):
         term = term @ a / k
-        out += term * active[:, None, None]
-        active &= np.sqrt(np.sum(term * term, axis=(1, 2))) >= 1e-17
-        if not active.any():
+        out += term
+        if np.sqrt(np.sum(term * term)) < 1e-17:
             break
-    for i in range(squarings.max(initial=0)):
-        sq = squarings > i
-        out[sq] = out[sq] @ out[sq]
-    return out.reshape(ts.shape + (n, n))
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,8 @@ class SingularOrbitError(RuntimeError):
 class ActionSpec(ActionRecord):
     """The record of one action type with its geometry built.
 
-    The last five fields describe the ambient algebra in the orthonormal
+    g(t) = exp(tX) is formed from X = ``geodesic_generator`` alone.  The
+    last five fields describe the ambient algebra in the orthonormal
     coordinates (under inner_g, basis e_a) in which frames are computed.
     """
 
@@ -100,7 +101,6 @@ class ActionSpec(ActionRecord):
     h: NamedSubalgebra
     k: NamedSubalgebra
     geodesic_generator: np.ndarray  # X, with X^3 = -X certified
-    geodesic_square: np.ndarray  # X^2
     section_generator: np.ndarray
     ambient_rows: np.ndarray  # (d, 64), the e_a as rows
     k_coords: np.ndarray  # (k.dim, d), coordinates of the basis of k
@@ -148,7 +148,6 @@ def action_spec(action_type: str) -> ActionSpec:
         h=named_subalgebra(record.h_name),
         k=k,
         geodesic_generator=x,
-        geodesic_square=x @ x,
         section_generator=section,
         ambient_rows=rows,
         k_coords=k_coords,
@@ -190,8 +189,8 @@ class OrbitFrame:
 def _geodesic(spec: ActionSpec, t) -> np.ndarray:
     """g(t) = exp(tX) = I + sin t X + 2 sin^2(t/2) X^2 at each entry of ``t``."""
     ts = np.asarray(t, dtype=float)[..., None, None]
-    x, x2 = spec.geodesic_generator, spec.geodesic_square
-    return np.eye(8) + np.sin(ts) * x + 2 * np.sin(ts / 2) ** 2 * x2
+    x = spec.geodesic_generator
+    return np.eye(8) + np.sin(ts) * x + 2 * np.sin(ts / 2) ** 2 * (x @ x)
 
 
 def _frames(spec: ActionSpec, ts: np.ndarray):

@@ -235,6 +235,12 @@ class TestRootFinding:
         assert res.closed_form_minimal_t == ref + 1e-7
         assert any("deviates from the closed-form value" in n for n in res.discrepancy_notes)
 
+    def test_a_disagreeing_austere_verdict_carries_a_note(self):
+        res = classify(dataclasses.replace(action_spec("IV"), austere=False))
+        assert res.minimal_austere is True and res.closed_form_austere is False
+        note = "disagrees with the closed-form verdict False"
+        assert any(note in n for n in res.discrepancy_notes)
+
     @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])
     @pytest.mark.parametrize("ty", ["II", "V"])
     def test_biharmonic_roots_match_closed_form_oracle(self, ty, lam):

@@ -224,6 +224,24 @@ class TestTables:
         assert len(lines) == 4
 
 
+def test_row_keys_and_csv_headers_are_fixed(capsys):
+    assert main(["classify", "--type", "III", "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["rows"][0]) == [
+        "action_type", "minimal_t", "minimal_s", "closed_form_minimal_t",
+        "minimal_deviation", "minimal_austere", "closed_form_austere", "biharmonic_t",
+        "biharmonic_s", "closed_form_biharmonic_t", "biharmonic_deviation",
+        "singular_dims", "closed_form", "notes", "passed", "root_diagnostics",
+    ]
+    assert main(["classify", "--type", "III", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "action_type,minimal_t,minimal_s,closed_form_minimal_t,minimal_deviation,"
+        "minimal_austere,closed_form_austere,biharmonic_t,closed_form_biharmonic_t,"
+        "biharmonic_deviation,singular_dim_lo,singular_dim_hi,passed"
+    )
+    assert main(["tables", "--type", "II", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "action_type,t,s,max_deviation,passed"
+
+
 @pytest.mark.parametrize(
     "argv", [["classify", "--type", "III"], ["tables", "--type", "II"], ["verify-algebra"]]
 )

@@ -101,10 +101,16 @@ class TestGeodesic:
         # every parameter range and the isometries' g(pi), g(+-pi/2); past
         # |t| = pi scipy's own error grows (6e-14 at 2 pi)
         ts = np.concatenate([np.linspace(-np.pi, np.pi, 61), np.arange(-2, 3) * np.pi / 2])
-        g = _geodesic(spec, ts)
-        assert np.abs(g - expm(x, ts)).max() < 1e-14
-        for t, g_t in zip(ts, g):
+        for t, g_t in zip(ts, _geodesic(spec, ts)):
+            assert np.abs(g_t - expm(x, t)).max() < 1e-14
             assert np.abs(g_t - scipy.linalg.expm(t * x)).max() < 1e-14
+
+    def test_replaced_generator_is_the_one_exponentiated(self):
+        # X^2 comes from the certified generator, not from a field of its own
+        x = action_spec("V").geodesic_generator
+        spec = dataclasses.replace(action_spec("III"), geodesic_generator=x)
+        for t in (0.3, 1.0, 2.0):
+            assert np.abs(_geodesic(spec, t) - expm(x, t)).max() < 1e-14
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_closed_form_matches_a_40_digit_exponential(self, ty):
