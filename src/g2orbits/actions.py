@@ -1,17 +1,19 @@
-"""One record per action type: every fact that differs between II-V.
+"""One record per action type: every hand-entered fact that differs
+between II-V.
 
 An :class:`ActionRecord` holds the data of the geometry (subalgebra names
 of the ambient algebra, H and K; V4 coefficients of the geodesic and
 section generators; the parameter range, its singular ends and the section
-ratio t = ratio * s), closed forms in t of the principal curvatures (the
-only closed form of the shape operator: H and |A|^2 are its first and
-second moments), the minimal parameter with its austere verdict,
-the proper biharmonic parameters, the orbit-reversing isometry
-x -> a x^eps b of types III and IV as the data (a, eps, b) that
+ratio t = ratio * s), the constant lambda of the biharmonic equation
+|A|^2 = lambda, closed forms in t of the principal curvatures (the only
+closed form of the shape operator: H and |A|^2 are its first and second
+moments), the austere verdict of the minimal orbit, the orbit-reversing
+isometry x -> a x^eps b of types III and IV as the data (a, eps, b) that
 :func:`g2orbits.orbits.verify_reflection` certifies, and the note on the
 tan^2 reading of the type V biharmonic parameters.
 :class:`g2orbits.orbits.ActionSpec` extends the record with the subalgebras
-and generators built from it.
+and generators built from it and derives the minimal and biharmonic
+parameters from them.
 """
 
 from __future__ import annotations
@@ -79,16 +81,11 @@ class ActionRecord:
     section_ratio: float
     singular_ts: tuple[float, ...]
     spectrum: Callable[[float], list[tuple[float, int]]]  # (value, multiplicity)
-    minimal_t: float
     austere: bool  # verdict at the minimal orbit
-    biharmonic_t: tuple[float, ...]
     # (t -> g(t)) -> (a, eps, b) of the isometry x -> a x^eps b
     reflection: Callable[[Callable], tuple[np.ndarray, int, np.ndarray]] | None = None
     note: Callable[[tuple[float, ...]], str] | None = None  # biharmonic t -> note
 
-
-_R19 = np.sqrt(19.0)
-_R211 = np.sqrt(211.0)
 
 ACTIONS = {
     record.action_type: record
@@ -98,21 +95,14 @@ ACTIONS = {
             einstein_constant=8.0, geodesic=(1, -1, 0), section=(2, -1, -1),
             t_range=(0.0, _HALF_PI), section_ratio=2.0, singular_ts=(0.0, _HALF_PI),
             spectrum=_spectrum_ii,
-            minimal_t=float(np.arctan(np.sqrt(1.5))),
             austere=False,
-            biharmonic_t=(
-                float(np.arctan(np.sqrt((5 - _R19) / 2))),
-                float(np.arctan(np.sqrt((5 + _R19) / 2))),
-            ),
         ),
         ActionRecord(
             action_type="III", ambient_name="so7", h_name="g2", k_name="g2",
             einstein_constant=10.0, geodesic=(1, 0, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0,),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 6),
-            minimal_t=float(np.pi / 2),
             austere=True,
-            biharmonic_t=(float(np.arctan(3.0 / 4.0)),),  # arccot(4/3)
             reflection=lambda g: (g(np.pi), -1, np.eye(8)),
         ),
         ActionRecord(
@@ -120,12 +110,7 @@ ACTIONS = {
             einstein_constant=10.0, geodesic=(1, 0, 0), section=(1, 1, 1),
             t_range=(0.0, np.pi), section_ratio=3.0, singular_ts=(0.0, np.pi),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t / 2), 3) + _pair(-np.tan(t / 2), 3),
-            minimal_t=float(np.pi / 2),
             austere=True,
-            biharmonic_t=(  # arccot(sqrt(14)/6) and its mirror
-                float(np.arctan(6.0 / np.sqrt(14.0))),
-                float(np.pi - np.arctan(6.0 / np.sqrt(14.0))),
-            ),
             reflection=lambda g: (g(_HALF_PI) @ SIGMA @ g(-_HALF_PI), 1, SIGMA),
         ),
         ActionRecord(
@@ -133,12 +118,7 @@ ACTIONS = {
             einstein_constant=10.0, geodesic=(0, 1, 1), section=(1, 1, 1),
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0, _HALF_PI),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 5) + _pair(-np.tan(t), 1),
-            minimal_t=float(np.arctan(np.sqrt(5.0))),
             austere=False,
-            biharmonic_t=(
-                float(np.arctan(np.sqrt((16 - _R211) / 3))),
-                float(np.arctan(np.sqrt((16 + _R211) / 3))),
-            ),
             note=_note_v,
         ),
     )

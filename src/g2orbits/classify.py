@@ -7,8 +7,8 @@ distinguished parameters:
 
   * minimal orbits: zeros of the mean curvature,
   * proper biharmonic orbits: non-minimal parameters where the squared
-    norm of the shape operator equals the Einstein constant of the
-    ambient metric (8 on G2, 10 on SO(7)).
+    norm of the shape operator equals lambda = -B(xi, xi) = 4 Ric(xi, xi)
+    in inner_g (8 on G2, 10 on SO(7); see ROADMAP item 1).
 
 The roots come from one trigonometric interpolant per function.  H and
 |A|^2 blow up at the singular parameters, so the functions interpolated are
@@ -50,15 +50,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .actions import ACTIONS, action_record
+from .actions import action_record
 from .orbits import (
+    ACTION_TYPES,
     ActionSpec,
     _report,
     _shape_blocks,
     action_spec,
     curvature_invariants,
     mean_curvature,  # noqa: F401  (binding sites perfbench's tracer self-test wraps)
-    orbit_frame,
+    orbit_frame,  # noqa: F401
     shape_norm_sq,  # noqa: F401
     spectrum_report,
 )
@@ -106,19 +107,21 @@ def closed_form_spectrum(action_type: str, t: float) -> list[tuple[float, int]]:
     return sorted(action_record(action_type).spectrum(t))
 
 
+_SPECS = {ty: action_spec(ty) for ty in ACTION_TYPES}
+
 #: Expected multiplicity multisets of the principal-orbit spectra.
 EXPECTED_MULTIPLICITIES = {
-    ty: tuple(m for _, m in r.spectrum(r.minimal_t)) for ty, r in ACTIONS.items()
+    ty: tuple(m for _, m in s.spectrum(s.minimal_t)) for ty, s in _SPECS.items()
 }
 
 #: Closed-form parameters of the minimal principal orbit.
-REFERENCE_MINIMAL_T = {ty: r.minimal_t for ty, r in ACTIONS.items()}
+REFERENCE_MINIMAL_T = {ty: s.minimal_t for ty, s in _SPECS.items()}
 
 #: Austere verdicts for the minimal principal orbits.
-REFERENCE_AUSTERE = {ty: r.austere for ty, r in ACTIONS.items()}
+REFERENCE_AUSTERE = {ty: s.austere for ty, s in _SPECS.items()}
 
 #: Closed-form parameters of the proper biharmonic principal orbits.
-REFERENCE_BIHARMONIC_T = {ty: r.biharmonic_t for ty, r in ACTIONS.items()}
+REFERENCE_BIHARMONIC_T = {ty: s.biharmonic_t for ty, s in _SPECS.items()}
 
 
 #: The most a root may deviate from its closed-form value: beyond it
@@ -317,7 +320,9 @@ def compare_spectra(spec: ActionSpec, t: float, tol: float = 1e-6) -> float:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Distinguished orbits of one action, engine values beside closed forms."""
+    """Distinguished orbits of one action, engine values beside closed forms,
+    and the verdict: ``passed`` unless a root, the root count or the austere
+    verdict disagrees with the references (each disagreement writes a note)."""
 
     action_type: str
     minimal_t: float
@@ -328,23 +333,25 @@ class ClassificationResult:
     biharmonic_s: tuple[float, ...]
     closed_form_minimal_t: float
     closed_form_biharmonic_t: tuple[float, ...]
+    minimal_deviation: float
+    biharmonic_deviation: float
+    passed: bool
     singular_dims: tuple[int, int]
     discrepancy_notes: tuple[str, ...]
     root_diagnostics: tuple[tuple[str, RootDiagnostics], ...]  # "f_H", "f_A"
 
 
 def classify(spec: ActionSpec) -> ClassificationResult:
-    """Classification of the action described by ``spec``."""
+    """Classification of the action described by ``spec``, checked against
+    the reference parameters the spec derives (see :mod:`g2orbits.orbits`)."""
     (minimal_t, minimal_diag), (roots, biharmonic_diag), report = _classification_roots(spec)
     biharmonic = tuple(roots)
-    end_dims = (
-        orbit_frame(spec, spec.t_range[0]).orbit_dim,
-        orbit_frame(spec, spec.t_range[1]).orbit_dim,
-    )
+    ref_min, ref_bi = spec.minimal_t, spec.biharmonic_t
+    dev_min = abs(minimal_t - ref_min)
+    dev_bi = max((abs(a - b) for a, b in zip(biharmonic, ref_bi)), default=0.0)
 
     notes: list[str] = []
-    ref_min = spec.minimal_t
-    if abs(minimal_t - ref_min) > PARAMETER_TOLERANCE:
+    if dev_min > PARAMETER_TOLERANCE:
         notes.append(
             f"minimal parameter {minimal_t!r} deviates from the closed-form "
             f"value {ref_min!r}"
@@ -354,16 +361,15 @@ def classify(spec: ActionSpec) -> ClassificationResult:
             f"austere verdict {report.austere} of the minimal orbit disagrees with "
             f"the closed-form verdict {spec.austere}"
         )
-    ref_bi = spec.biharmonic_t
-    if len(biharmonic) != len(ref_bi) or any(
-        abs(a - b) > PARAMETER_TOLERANCE for a, b in zip(biharmonic, ref_bi)
-    ):
+    if len(biharmonic) != len(ref_bi) or dev_bi > PARAMETER_TOLERANCE:
         notes.append(
             f"biharmonic parameters {biharmonic!r} deviate from the "
             f"closed-form values {ref_bi!r}"
         )
+    passed = not notes
     if spec.note is not None:
         notes.append(spec.note(biharmonic))
+    codims = dict(zip(spec.singular_ts, spec.singular_codims))
 
     return ClassificationResult(
         action_type=spec.action_type,
@@ -375,7 +381,10 @@ def classify(spec: ActionSpec) -> ClassificationResult:
         biharmonic_s=tuple(r / spec.section_ratio for r in biharmonic),
         closed_form_minimal_t=ref_min,
         closed_form_biharmonic_t=ref_bi,
-        singular_dims=end_dims,
+        minimal_deviation=dev_min,
+        biharmonic_deviation=dev_bi,
+        passed=passed,
+        singular_dims=tuple(spec.ambient.dim - codims.get(end, 1) for end in spec.t_range),
         discrepancy_notes=tuple(notes),
         root_diagnostics=(("f_H", minimal_diag), ("f_A", biharmonic_diag)),
     )

@@ -36,8 +36,8 @@ isometry x -> a x^eps b of types III and IV.
 
 An :class:`ActionSpec` is the record of its type from
 :mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
-ranges, closed forms) together with the subalgebras and generators built
-from it; the unit normal at a principal parameter is oriented along the
+ranges, closed forms) together with the geometry and reference parameters
+built from it; the unit normal at a principal parameter is oriented along the
 section generator, and t = section_ratio * s.  When it is built, every
 spec certifies what the kernel then assumes at every t: X^3 = -X (so the
 closed form of g(t) is exact), an orthonormal basis [K; K_perp] of the
@@ -46,7 +46,7 @@ ambient algebra, and Ad(g(t))^{-1} h inside the ambient algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -93,8 +93,10 @@ class ActionSpec(ActionRecord):
     """The record of one action type with its geometry built.
 
     g(t) = exp(tX) is formed from X = ``geodesic_generator`` alone.  The
-    last five fields describe the ambient algebra in the orthonormal
-    coordinates (under inner_g, basis e_a) in which frames are computed.
+    fields ``ambient_rows`` to ``ad_section`` describe the ambient algebra in
+    the orthonormal coordinates (under inner_g, basis e_a) in which frames
+    are computed, and the last five hold the facts and references of
+    :func:`_references`.
     """
 
     ambient: NamedSubalgebra
@@ -107,6 +109,11 @@ class ActionSpec(ActionRecord):
     k_perp: np.ndarray  # (d - k.dim, d), an orthonormal basis of the complement of k
     unit_section: np.ndarray  # (d,), coordinates of the unit section generator xi
     ad_section: np.ndarray  # (d, d), [a, b] = <e_a, [e_b, xi]>
+    normal_speed_sq: float  # c^2
+    ricci: float  # Ric(xi, xi)
+    singular_codims: tuple[int, ...]  # k_s at each entry of singular_ts
+    minimal_t: float
+    biharmonic_t: tuple[float, ...]
 
     def __post_init__(self):
         """Refuse a spec that breaks an assumption of the kernel (see the module
@@ -142,7 +149,8 @@ def action_spec(action_type: str) -> ActionSpec:
     k_coords = _to_rows(k.basis) @ rows.T
     unit_section = _to_rows(section[None])[0] @ rows.T
     unit_section /= np.linalg.norm(unit_section)
-    return ActionSpec(
+    ad_section = _ad_matrix(ambient.basis, unit_section)
+    spec = ActionSpec(
         **{field.name: getattr(record, field.name) for field in fields(record)},
         ambient=ambient,
         h=named_subalgebra(record.h_name),
@@ -153,8 +161,46 @@ def action_spec(action_type: str) -> ActionSpec:
         k_coords=k_coords,
         k_perp=np.linalg.svd(k_coords)[2][k.dim:],
         unit_section=unit_section,
-        ad_section=_ad_matrix(ambient.basis, unit_section),
+        ad_section=ad_section,
+        normal_speed_sq=inner_g(x, section) ** 2 / inner_g(section, section),
+        ricci=0.25 * float(np.sum(ad_section**2)),
+        singular_codims=(),
+        minimal_t=np.nan,
+        biharmonic_t=(),
     )
+    codims = tuple(ambient.dim - _frames(spec, np.array([s]))[2] for s in record.singular_ts)
+    minimal_t, biharmonic_t = _references(spec, codims)
+    return replace(spec, singular_codims=codims, minimal_t=minimal_t, biharmonic_t=biharmonic_t)
+
+
+def _references(spec: ActionSpec, codims: tuple[int, ...]) -> tuple[float, tuple[float, ...]]:
+    """``minimal_t`` and ``biharmonic_t`` from c^2, Ric(xi, xi) and the
+    codimensions k_s of the singular orbits, with s taken mod pi once (at 0
+    and pi/2 for all four types).
+
+    The orbit volume goes as prod sin^(k_s - 1)(t - s) (Hsiang-Lawson,
+    J. Differential Geom. 5 (1971)), so H = -(1/c) sum (k_s - 1) cot(t - s)
+    vanishes at u = tan^2 t = a/b, a = k_0 - 1 and b = k_(pi/2) - 1 (t = pi/2
+    if b = 0).  By the Riccati identity |A|^2 = lambda at the roots of
+    b u^2 + (a + b - c^2 (lambda + Ric)) u + a; those with u != a/b are the
+    proper biharmonic orbits (Ou, Pacific J. Math. 248 (2010)), at t and
+    pi - t in the window.  A declared singular parameter whose orbit is
+    principal raises ValueError.
+    """
+    exponents = {}
+    for s, k in zip(spec.singular_ts, codims):
+        if k < 2:
+            raise ValueError(
+                f"type {spec.action_type}: the orbit at the singular parameter t={s} is principal"
+            )
+        exponents[float(np.mod(s, np.pi))] = k - 1
+    a, b = exponents.get(0.0, 0), exponents.get(np.pi / 2, 0)
+    us = np.roots([b, a + b - spec.normal_speed_sq * (spec.einstein_constant + spec.ricci), a])
+    us = us[np.isreal(us)].real
+    arctans = [np.arctan(np.sqrt(u)) for u in us if u > 0 and not np.isclose(b * u, a)]
+    lo, hi = spec.t_range
+    biharmonic = sorted(float(t) for r in arctans for t in (r, np.pi - r) if lo < t < hi)
+    return float(np.arctan(np.sqrt(a / b))) if b else np.pi / 2, tuple(biharmonic)
 
 
 def _ad_matrix(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -167,8 +167,8 @@ class TestRootFinding:
     def test_grid_is_one_call(self, monkeypatch):
         # One kernel pass per type: the 2n = 32 nodes and midpoints reach
         # curvature_invariants as one array call of one block, then one
-        # block for the minimal spectrum and the |H| filter, and one frame
-        # each for the two window ends.
+        # block for the minimal spectrum and the |H| filter; the orbit
+        # dimensions at the window ends come from the spec.
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
         frames, grids = [], []
@@ -190,7 +190,8 @@ class TestRootFinding:
             frames.clear()
             grids.clear()
             classify_type.__wrapped__(ty)  # uncached
-            assert len(frames) <= 4, (ty, frames)
+            roots = len(classify_type(ty).biharmonic_t)
+            assert frames == [2 * FOURIER_FIRST_N, 1 + roots], (ty, frames)
             assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
 
     def test_find_functions_match_classify(self):
@@ -240,6 +241,18 @@ class TestRootFinding:
         assert res.minimal_austere is True and res.closed_form_austere is False
         note = "disagrees with the closed-form verdict False"
         assert any(note in n for n in res.discrepancy_notes)
+        assert res.passed is False
+
+    def test_verdict_and_deviations_come_with_the_result(self):
+        for ty in ALL_TYPES:
+            res = classify_type(ty)
+            pairs = zip(res.biharmonic_t, res.closed_form_biharmonic_t)
+            assert res.minimal_deviation == abs(res.minimal_t - res.closed_form_minimal_t)
+            assert res.biharmonic_deviation == max(abs(a - b) for a, b in pairs)
+            assert res.passed is True
+        ref = REFERENCE_BIHARMONIC_T["II"]
+        res = classify(dataclasses.replace(action_spec("II"), biharmonic_t=ref[:1]))
+        assert res.passed is False and res.biharmonic_deviation < PARAMETER_TOLERANCE
 
     @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])
     @pytest.mark.parametrize("ty", ["II", "V"])

@@ -11,7 +11,7 @@ import pytest
 
 from g2orbits import cli, orbits
 from g2orbits.cli import main
-from g2orbits.classify import classify_type, principal_interval
+from g2orbits.classify import classify, principal_interval
 from g2orbits.orbits import action_spec, spectrum_report
 
 
@@ -190,13 +190,13 @@ class TestClassify:
         assert "root_diagnostics" not in capsys.readouterr().out
 
     def test_austere_verdict_must_agree(self, capsys, monkeypatch):
-        res = classify_type("IV")
-        flipped = dataclasses.replace(res, minimal_austere=not res.minimal_austere)
+        # classify writes the verdict; the command line only renders it
+        flipped = classify(dataclasses.replace(action_spec("IV"), austere=False))
         monkeypatch.setattr(cli, "classify_type", lambda ty: flipped)
         assert main(["classify", "--type", "IV", "--format", "json"]) == 1
         row = json.loads(capsys.readouterr().out)["rows"][0]
-        assert row["closed_form_austere"] is True
-        assert row["minimal_austere"] is False
+        assert row["closed_form_austere"] is False
+        assert row["minimal_austere"] is True
         assert row["passed"] is False
 
 

@@ -37,11 +37,66 @@ ALL_TYPES = ("II", "III", "IV", "V")
 END_DIMS = {"II": (10, 11), "III": (14, 20), "IV": (17, 17), "V": (15, 19)}
 
 
+#: c^2 = <X, xi>^2 / <xi, xi>, Ric(xi, xi) and the codimensions k_s of the
+#: singular orbits at the entries of singular_ts.
+DERIVATION_FACTS = {
+    "II": (1.5, 2.0, (4, 3)),
+    "III": (4 / 3, 2.5, (7,)),
+    "IV": (1 / 3, 2.5, (4, 4)),
+    "V": (4 / 3, 2.5, (6, 2)),
+}
+
+#: The exact closed forms of the minimal and proper biharmonic parameters.
+CLOSED_FORM_MINIMAL_T = {
+    "II": float(np.arctan(np.sqrt(1.5))),
+    "III": float(np.pi / 2),
+    "IV": float(np.pi / 2),
+    "V": float(np.arctan(np.sqrt(5.0))),
+}
+CLOSED_FORM_BIHARMONIC_T = {
+    "II": tuple(float(np.arctan(np.sqrt((5 + sgn * np.sqrt(19.0)) / 2))) for sgn in (-1, 1)),
+    "III": (float(np.arctan(3.0 / 4.0)),),
+    "IV": (float(np.arctan(6.0 / np.sqrt(14.0))), float(np.pi - np.arctan(6.0 / np.sqrt(14.0)))),
+    "V": tuple(float(np.arctan(np.sqrt((16 + sgn * np.sqrt(211.0)) / 3))) for sgn in (-1, 1)),
+}
+
+
 class TestActionSpecs:
     def test_einstein_constants(self):
         assert action_spec("II").einstein_constant == 8.0
         for ty in ("III", "IV", "V"):
             assert action_spec(ty).einstein_constant == 10.0
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_einstein_constant_is_four_times_ricci(self, ty):
+        # lambda = -B(xi, xi) = |ad_xi|_F^2 = 4 Ric(xi, xi) in inner_g
+        spec = action_spec(ty)
+        lam = spec.einstein_constant
+        assert abs(4 * spec.ricci - lam) <= 1e-12 * lam
+        assert abs(np.sum(spec.ad_section**2) - lam) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_derived_facts(self, ty):
+        spec = action_spec(ty)
+        c_sq, ricci, codims = DERIVATION_FACTS[ty]
+        assert abs(spec.normal_speed_sq - c_sq) <= 1e-12
+        assert abs(spec.ricci - ricci) <= 1e-12
+        assert spec.singular_codims == codims
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_derived_references_are_the_closed_forms(self, ty):
+        spec = action_spec(ty)
+        assert spec.minimal_t == CLOSED_FORM_MINIMAL_T[ty]
+        expected = CLOSED_FORM_BIHARMONIC_T[ty]
+        assert len(spec.biharmonic_t) == len(expected)
+        assert max(abs(a - b) for a, b in zip(spec.biharmonic_t, expected)) <= 2.3e-16
+
+    def test_principal_orbit_declared_singular_is_refused(self, monkeypatch):
+        bad = dataclasses.replace(ACTIONS["II"], action_type="sII", singular_ts=(0.0, 1.0))
+        monkeypatch.setitem(ACTIONS, "sII", bad)
+        with pytest.raises(ValueError, match=r"^type sII: .* t=1\.0 is principal$") as err:
+            action_spec("sII")
+        assert "\n" not in str(err.value)
 
     def test_subgroup_assignments(self):
         assert (action_spec("II").h.name, action_spec("II").k.name) == ("so4_g2", "su3")
