@@ -18,7 +18,10 @@ is tensorial), so any exact solution is acceptable.
 
 One kernel, :func:`_frames`, computes every frame, in orthonormal
 coordinates e_a of the ambient algebra and for a whole block of t at once.
-It forms g(t) = I + sin t X + 2 sin^2(t/2) X^2.  As k is the same at every
+It never forms g(t) = I + sin t X + 2 sin^2(t/2) X^2: the rows H of
+Ad(g(t))^{-1} h are a trigonometric polynomial in t whose five coefficient
+blocks each spec derives and certifies once (see :class:`ActionSpec`), so
+H and its k_perp part are one product per t.  As k is the same at every
 t, one SVD of the rows H of Ad(g(t))^{-1} h off k gives the rank, the
 tangent rows [K; W], the normal rows and the Killing-field lifts.  As the
 K rows are orthonormal, the kept singular values of the full rows [H; K]
@@ -40,13 +43,16 @@ ranges, closed forms) together with the geometry and reference parameters
 built from it; the unit normal at a principal parameter is oriented along the
 section generator, and t = section_ratio * s.  When it is built, every
 spec certifies what the kernel then assumes at every t: X^3 = -X (so the
-closed form of g(t) is exact), an orthonormal basis [K; K_perp] of the
-ambient algebra, and Ad(g(t))^{-1} h inside the ambient algebra.
+closed form of g(t) and the five coefficient blocks are exact), an
+orthonormal basis [K; K_perp] of the ambient algebra, and Ad(g(t))^{-1} h
+inside the ambient algebra at every t, certified on the five coefficient
+blocks rather than on samples of t.  :func:`_geodesic` forms g(t) itself
+only for :func:`orbit_frame` and :func:`verify_reflection`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -95,8 +101,10 @@ class ActionSpec(ActionRecord):
     g(t) = exp(tX) is formed from X = ``geodesic_generator`` alone.  The
     fields ``ambient_rows`` to ``ad_section`` describe the ambient algebra in
     the orthonormal coordinates (under inner_g, basis e_a) in which frames
-    are computed, and the last five hold the facts and references of
-    :func:`_references`.
+    are computed, the next five hold the facts and references of
+    :func:`_references`, and ``h_terms`` and ``h_terms_perp``, the
+    coefficients of the frame kernel's rows, are derived from X and h by
+    :meth:`__post_init__`.
     """
 
     ambient: NamedSubalgebra
@@ -114,12 +122,26 @@ class ActionSpec(ActionRecord):
     singular_codims: tuple[int, ...]  # k_s at each entry of singular_ts
     minimal_t: float
     biharmonic_t: tuple[float, ...]
+    h_terms: np.ndarray = field(init=False, repr=False)  # (5, p, d), see __post_init__
+    h_terms_perp: np.ndarray = field(init=False, repr=False)  # (5, p, d - q)
 
     def __post_init__(self):
         """Refuse a spec that breaks an assumption of the kernel (see the module
-        docstring).  g(t) has degree 1 in t, so the part of Ad(g(t))^{-1} h_p off
-        the ambient algebra is a trigonometric polynomial of degree 2: at any t
-        at most 5 times its largest value at 5 equispaced t of one period."""
+        docstring), and derive ``h_terms`` and ``h_terms_perp``.
+
+        With s = sin t and c = 2 sin^2(t/2), g(t) = I + s X + c X^2, and as
+        X^3 = -X (so s^2 = 2c - c^2 may be traded for c and c^2), exactly
+
+            g^T h g = M_0 + s M_1 + c M_2 + s c M_3 + c^2 M_4,
+
+        with M_0 = h, M_1 = [h, X], M_2 = h X^2 + X^2 h - 2 X h X,
+        M_3 = X^2 h X - X h X^2 and M_4 = X^2 h X^2 + X h X.  Ad(g(t))^{-1} h
+        stays inside the ambient algebra at every t iff each M_j (for each
+        h_p) does, so the containment is certified on the M_j themselves.
+        ``h_terms`` holds their ambient coordinates, (5, p, d), and
+        ``h_terms_perp`` those times K_perp^T, (5, p, d - q).  Both are derived
+        here, so a spec from ``dataclasses.replace`` carries its own.
+        """
         x, kk = self.geodesic_generator, np.concatenate([self.k_coords, self.k_perp])
         for claim, defect in (
             ("geodesic X^3 = -X fails", np.abs(x @ x @ x + x).max()),
@@ -127,14 +149,21 @@ class ActionSpec(ActionRecord):
         ):
             if defect > 1e-12:
                 raise ValueError(f"type {self.action_type}: {claim} (defect {defect:.3e})")
-        g = _geodesic(self, 2 * np.pi * np.arange(5) / 5)
-        moved = np.swapaxes(g, 1, 2)[:, None] @ self.h.basis @ g[:, None]
-        residual = _outside(moved.reshape(-1, 8, 8), self.ambient.basis)
+        h, x2 = self.h.basis, x @ x
+        xhx = x @ h @ x
+        terms = np.stack(
+            [h, h @ x - x @ h, h @ x2 + x2 @ h - 2 * xhx, x2 @ h @ x - x @ h @ x2,
+             x2 @ h @ x2 + xhx]
+        ).reshape(-1, 8, 8)
+        residual = _outside(terms, self.ambient.basis)
         if residual > 2e-10:
             raise NotASubspaceError(
                 f"type {self.action_type}: Ad(g)^-1 h leaves the ambient algebra "
-                f"(residual {residual:.3e} at 5 equispaced t)"
+                f"(residual {residual:.3e} over the five coefficients M_j)"
             )
+        coords = (_to_rows(terms) @ self.ambient_rows.T).reshape(5, len(h), -1)
+        object.__setattr__(self, "h_terms", coords)
+        object.__setattr__(self, "h_terms_perp", coords @ self.k_perp.T)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +180,7 @@ def action_spec(action_type: str) -> ActionSpec:
     unit_section /= np.linalg.norm(unit_section)
     ad_section = _ad_matrix(ambient.basis, unit_section)
     spec = ActionSpec(
-        **{field.name: getattr(record, field.name) for field in fields(record)},
+        **{f.name: getattr(record, f.name) for f in fields(record)},
         ambient=ambient,
         h=named_subalgebra(record.h_name),
         k=k,
@@ -168,7 +197,7 @@ def action_spec(action_type: str) -> ActionSpec:
         minimal_t=np.nan,
         biharmonic_t=(),
     )
-    codims = tuple(ambient.dim - _frames(spec, np.array([s]))[2] for s in record.singular_ts)
+    codims = tuple(ambient.dim - _frames(spec, np.array([s]))[1] for s in record.singular_ts)
     minimal_t, biharmonic_t = _references(spec, codims)
     return replace(spec, singular_codims=codims, minimal_t=minimal_t, biharmonic_t=biharmonic_t)
 
@@ -239,13 +268,33 @@ def _geodesic(spec: ActionSpec, t) -> np.ndarray:
     return np.eye(8) + np.sin(ts) * x + 2 * np.sin(ts / 2) ** 2 * (x @ x)
 
 
+def _generator_rows(spec: ActionSpec, ts: np.ndarray):
+    """The ambient coordinates of Ad(g(t))^{-1} h_p, (n, p, d), and their
+    k_perp coordinates, (n, p, d - q), at each parameter of ``ts``, from the
+    certified coefficients of :meth:`ActionSpec.__post_init__`.
+
+    Each is one product phi(t) C per t, phi = (1, s, c, s c, c^2) with
+    s = sin t and c = 2 sin^2(t/2), so the rows at a t do not depend on the
+    block it is computed in.
+    """
+    s, c = np.sin(ts), 2 * np.sin(ts / 2) ** 2
+    phi = np.empty((len(ts), 1, 5))
+    phi[:, 0, 0] = 1.0
+    phi[:, 0, 1], phi[:, 0, 2], phi[:, 0, 3], phi[:, 0, 4] = s, c, s * c, c * c
+    n, p = len(ts), spec.h.dim
+    rows = (phi @ spec.h_terms.reshape(5, -1)).reshape(n, p, -1)
+    return rows, (phi @ spec.h_terms_perp.reshape(5, -1)).reshape(n, p, -1)
+
+
 def _frames(spec: ActionSpec, ts: np.ndarray):
-    """The frame kernel: ``x, vt, dim, lifts, residual`` at each parameter
+    """The frame kernel: ``vt, dim, lifts, residual`` at each parameter
     of ``ts``, from one SVD U diag(sing) V^T of the reduced rows H K_perp^T.
 
-    The rows of H are the ambient coordinates of Ad(g(t))^{-1} h_p (inside
-    the ambient algebra, as the spec certifies); K (q rows) and K_perp are
-    ``spec.k_coords`` and ``spec.k_perp``; x is g(t) from :func:`_geodesic`.
+    The rows H (the ambient coordinates of Ad(g(t))^{-1} h_p) and the
+    reduced rows come from :func:`_generator_rows`, the spec's certified
+    coefficients, so g(t) itself is never formed and the rows lie in the
+    ambient algebra exactly; K (q rows) and K_perp are ``spec.k_coords``
+    and ``spec.k_perp``.
     The rank r of the reduced rows counts the singular values above
     1e-9 max(1, sing_max): the floor keeps a block that is all rounding
     (type III at t = 0, where h = k) at rank 0.
@@ -264,14 +313,10 @@ def _frames(spec: ActionSpec, ts: np.ndarray):
     C^T H - C_k^T K, the rows of Ad^{-1} X_i + Y_i.
     """
     d = spec.ambient.dim
-    x = _geodesic(spec, ts)
-    moved = np.swapaxes(x, 1, 2)[:, None] @ spec.h.basis @ x[:, None]
-    moved_rows = moved.reshape(moved.shape[:2] + (64,))
-    moved_rows /= np.sqrt(2.0)  # the coordinates of _to_rows, in place
-    h_coords = moved_rows @ spec.ambient_rows.T
+    h_coords, reduced = _generator_rows(spec, ts)
     k_coords, k_perp = spec.k_coords, spec.k_perp
     q = len(k_coords)
-    u, sing, vt_red, dims = ranked_svd(h_coords @ k_perp.T, abs_tol=1e-9)
+    u, sing, vt_red, dims = ranked_svd(reduced, abs_tol=1e-9)
     dim_r = int(dims.max())
     if np.any(dims < dim_r):
         i = int(np.argmax(dims < dim_r))
@@ -298,7 +343,7 @@ def _frames(spec: ActionSpec, ts: np.ndarray):
             f"Killing-field lift residual {residual[i]:.3e} at t={ts[i]}"
         )
     lifts = np.concatenate([-vt[:, :q], from_h - from_k], axis=1)
-    return x, vt, q + dim_r, lifts, residual
+    return vt, q + dim_r, lifts, residual
 
 
 def _shapes(tangent, ad, lifts, ts) -> np.ndarray:
@@ -323,14 +368,11 @@ def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
     algebra.  Both bases and the lifts, which solve Ad^{-1} X - Y = u up
     to ``lift_residual``, come from the frame kernel at one parameter.
     """
-    x, vt, dim, lifts, residual = _frames(spec, np.array([t], dtype=float))
+    vt, dim, lifts, residual = _frames(spec, np.array([t], dtype=float))
     tangent = Subspace(_from_rows(vt[0, :dim] @ spec.ambient_rows), dim)
     normal = Subspace(_from_rows(vt[0, dim:] @ spec.ambient_rows), len(vt[0]) - dim)
-    if tangent.dim + normal.dim != spec.ambient.dim:
-        raise ArithmeticError(
-            f"tangent dim {tangent.dim} + normal dim {normal.dim} != {spec.ambient.dim}"
-        )
-    return OrbitFrame(t, x[0], tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
+    x = _geodesic(spec, t)
+    return OrbitFrame(t, x, tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
 
 
 def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> np.ndarray:
@@ -434,7 +476,7 @@ def _shape_blocks(spec: ActionSpec, ts: np.ndarray):
     d = spec.ambient.dim
     for start in range(0, len(ts), FRAME_BLOCK):
         block = slice(start, start + FRAME_BLOCK)
-        _, vt, dim, lifts, _ = _frames(spec, ts[block])
+        vt, dim, lifts, _ = _frames(spec, ts[block])
         if dim != d - 1:
             raise SingularOrbitError(
                 f"type {spec.action_type} orbit at t={ts[block][0]} has codimension {d - dim}",
@@ -545,7 +587,8 @@ def verify_reflection(spec: ActionSpec) -> bool:
             f"no reflection isometry is configured for action type {spec.action_type}"
         )
     a, eps, b = spec.reflection(lambda t: expm(spec.geodesic_generator, t))
-    (x0,), (vt,), dim, _, _ = _frames(spec, np.array([spec.minimal_t]))
+    x0 = _geodesic(spec, spec.minimal_t)
+    (vt,), dim, _, _ = _frames(spec, np.array([spec.minimal_t]))
     h_source, k_source = (spec.h, spec.k) if eps == 1 else (spec.k, spec.h)
     c = b.T if eps == 1 else b.T @ x0  # dphi(u) = eps c u c^T
     images = eps * (c @ spec.ambient.basis @ c.T)

@@ -194,6 +194,52 @@ class TestRootFinding:
             assert frames == [2 * FOURIER_FIRST_N, 1 + roots], (ty, frames)
             assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
 
+    def test_cold_classification_never_forms_g(self, monkeypatch):
+        # the frame kernel takes its rows from the spec's coefficients
+        orbits = importlib.import_module("g2orbits.orbits")
+        calls = {"_geodesic": 0, "_frames": 0}
+        for name in calls:
+            original = getattr(orbits, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(orbits, name, counted)
+        for ty in ALL_TYPES:
+            calls.update(_geodesic=0, _frames=0)
+            res = classify_type.__wrapped__(ty)  # uncached
+            assert calls == {"_geodesic": 0, "_frames": 2}, ty
+            assert res.passed
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_one_pass_over_both_functions_equals_each_alone(self, ty):
+        spec = action_spec(ty)
+
+        def weighted(ts):
+            (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
+            return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
+
+        both = _fourier_roots(spec, weighted, ("f_H", "f_A"))
+        for row, (roots, diag) in enumerate(both):
+            [(alone, alone_diag)] = _fourier_roots(spec, lambda t: weighted(t)[[row]], ("f",))
+            assert roots == alone
+            assert diag == alone_diag
+
+    def test_an_unresolved_row_is_named_while_the_other_is_accepted(self):
+        # |sin(t - 1)| has a kink, so no interpolant resolves it; sin(t - 1)
+        # is accepted at the first n
+        spec = action_spec("III")
+        with pytest.raises(NoRootError) as err:
+            _fourier_roots(
+                spec,
+                lambda t: np.array([np.sin(t - 1.0), np.abs(np.sin(t - 1.0))]),
+                ("smooth", "kinked"),
+            )
+        message = str(err.value)
+        assert "kinked is not resolved by 64 Fourier nodes" in message
+        assert "smooth" not in message
+
     def test_find_functions_match_classify(self):
         for ty in ALL_TYPES:
             spec, res = action_spec(ty), classify_type(ty)

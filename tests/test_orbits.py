@@ -10,10 +10,12 @@ import scipy.linalg
 from g2orbits import orbits
 from g2orbits.actions import ACTIONS, ActionRecord, action_record
 from g2orbits.classify import classify_type, principal_interval
-from g2orbits.linalg import NotASubspaceError, expm, g_basis, inner_g, v_elem, zeta
+from g2orbits.linalg import NotASubspaceError, _to_rows, expm, g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
     SingularOrbitError,
+    _frames,
+    _generator_rows,
     _geodesic,
     action_spec,
     curvature_invariants,
@@ -190,6 +192,60 @@ class TestGeodesic:
         monkeypatch.setitem(ACTIONS, "2II", doubled)
         with pytest.raises(ValueError, match=r"X\^3 = -X fails \(defect 6\.000e\+00\)"):
             action_spec("2II")
+
+
+def _conjugated_rows(spec, g):
+    """Ambient coordinates of g^T h_p g for each 8x8 g of the stack ``g``."""
+    moved = np.swapaxes(g, -1, -2)[:, None] @ spec.h.basis @ g[:, None]
+    return (_to_rows(moved.reshape(-1, 8, 8)) @ spec.ambient_rows.T).reshape(len(g), spec.h.dim, -1)
+
+
+class TestGeneratorRows:
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_rows_match_the_conjugation(self, ty):
+        spec = action_spec(ty)
+        ts = np.linspace(-2 * np.pi, 2 * np.pi, 200)
+        rows, reduced = _generator_rows(spec, ts)
+        direct = _conjugated_rows(spec, _geodesic(spec, ts))
+        assert np.abs(rows - direct).max() <= 2e-15
+        assert np.abs(reduced - direct @ spec.k_perp.T).max() <= 2e-15
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_rows_match_a_40_digit_conjugation(self, ty):
+        mpmath = pytest.importorskip("mpmath")
+        spec = action_spec(ty)
+        ts = (0.3, 1.1, 2.0, -2.5, 5.9)
+        x = mpmath.matrix(spec.geodesic_generator.tolist())
+        exact = []
+        with mpmath.workdps(40):
+            for t in ts:
+                g = mpmath.expm(mpmath.mpf(t) * x)
+                moved = [g.T * mpmath.matrix(h.tolist()) * g for h in spec.h.basis]
+                exact.append([np.array(m.tolist(), dtype=float) for m in moved])
+        exact = np.array(exact)
+        direct = _to_rows(exact.reshape(-1, 8, 8)) @ spec.ambient_rows.T
+        direct = direct.reshape(len(ts), spec.h.dim, -1)
+        assert np.abs(_generator_rows(spec, np.array(ts))[0] - direct).max() <= 1e-15
+
+    def test_replaced_generator_rebuilds_the_rows(self):
+        # the coefficients are derived from the spec's own X, so a replaced
+        # generator cannot leave III's rows behind
+        iii = action_spec("III")
+        spec = dataclasses.replace(iii, geodesic_generator=action_spec("V").geodesic_generator)
+        ts = np.linspace(0.2, 1.3, 5)
+        rows = _generator_rows(spec, ts)[0]
+        direct = _conjugated_rows(spec, _geodesic(spec, ts))
+        assert np.abs(rows - direct).max() <= 2e-15
+        assert np.abs(rows - _generator_rows(iii, ts)[0]).max() > 0.1
+        vt, dim, _, _ = _frames(spec, ts)
+        tangent = vt[:, :dim]
+        # every row of Ad(g(t))^-1 h (V's g) lies in the tangent space, and
+        # the rank is that of [H; K]
+        spanned = direct @ np.swapaxes(tangent, 1, 2) @ tangent
+        assert np.abs(direct - spanned).max() < 1e-12
+        k_rows = np.broadcast_to(spec.k_coords, (len(ts),) + spec.k_coords.shape)
+        full = np.concatenate([direct, k_rows], axis=1)
+        assert [np.linalg.matrix_rank(r, tol=1e-9) for r in full] == [dim] * 5
 
 
 class TestOrbitDimensions:
@@ -419,6 +475,17 @@ class TestFrameKernel:
         assert norm == pytest.approx(closed_norm, rel=2.5e-13)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_relative_error_near_the_singular_end_is_at_most_eps_over_t(self, ty):
+        # cond(R) grows like 1/t next to the singular orbit at t = 0, so
+        # eps / t is the size of the rounding the frames can reach there;
+        # the worst ratio measured is 0.29 (V, |A|^2).
+        ts = np.geomspace(1e-4, 1e-2, 60)
+        engine = curvature_invariants(action_spec(ty), ts)
+        for value, closed in zip(engine, spectrum_moments(action_record(ty), ts)):
+            relative = np.abs(value - closed) / np.abs(closed)
+            assert np.all(relative <= np.finfo(float).eps / ts)
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
         spec = action_spec(ty)
         q = spec.k.dim
@@ -441,7 +508,7 @@ class TestFrameKernel:
         finally:
             classify_type.cache_clear()
         assert stacks and len(stacks) == len(frames)
-        for (n, p, m), (_, vt, _, lifts, _) in zip(stacks, frames):
+        for (n, p, m), (vt, _, lifts, _) in zip(stacks, frames):
             assert (p, m) == (spec.h.dim, spec.ambient.dim - q)
             assert len(vt) == len(lifts) == n
             assert (vt[:, :q] == spec.k_coords).all()
