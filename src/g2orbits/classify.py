@@ -31,18 +31,15 @@ interpolant is accepted when its relative tail (largest |c_k| over
 most 1e-8.  Each function keeps the first interpolant it accepts; n doubles
 from 16 while one has none, and past 64 :class:`NoRootError` is raised.
 With the coefficients at the rounding floor dropped, p has degree D and the
-eigenvalues z of the companion matrix of the polynomial z^D p(z) (the one
-``numpy.roots`` forms) on the unit circle are its real roots t = arg z.
-One root pass serves both functions too: the rows not yet accepted share
-one FFT, the node phase and the midpoint basis are built once per n, and
-the companion matrices of one degree share one stacked eigensolve, so each
-function's roots and tail are those of a pass over it alone, bit for bit.
-Those
-that fall in the window clipped 1e-4 away from singular endpoints, where
-the closed forms blow up, are the roots found, and a root on a principal
-endpoint (type III) is clipped onto it; an eigenvalue near the circle but
-off it, or two close together (a double root or a close pair of roots,
-which cannot be counted), raises :class:`NoRootError`.  At n = 16 these
+eigenvalues z of the companion matrix of the polynomial z^D p(z)
+(``numpy.roots``) on the unit circle are its real roots t = arg z.  The
+rows not yet accepted at an n share one FFT, so each function's roots and
+tail are those of a pass over it alone, bit for bit.  Those that fall in
+the window clipped 1e-4 away from singular endpoints, where the closed
+forms blow up, are the roots found, and a root on a principal endpoint
+(type III) is clipped onto it; an eigenvalue near the circle but off it,
+or two close together (a double root or a close pair of roots, which
+cannot be counted), raises :class:`NoRootError`.  At n = 16 these
 roots are within 1.6e-15 of the closed forms, so they are not polished
 (Boyd, J. Eng. Math. 56 (2006), on roots of trigonometric polynomials from
 the companion matrix).
@@ -187,63 +184,30 @@ def singular_weight(spec: ActionSpec, t):
     return np.prod([np.sin(t - s) for s in shifts], axis=0)
 
 
-@lru_cache(maxsize=None)
-def _fourier_grid(n: int):
-    """For n nodes: the 2n parameters t_m = pi (2m + 1) / 2n of one period
-    (the even-numbered ones are the nodes, the others the midpoints), the
-    node phase exp(-i k t_0) and the midpoint basis exp(i k t_(2m+1)),
-    k = 0 .. n/2, all read-only."""
-    ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
-    k = np.arange(n // 2 + 1)
-    grid = ts, np.exp(-1j * k * ts[0]), np.exp(1j * np.outer(ts[1::2], k))
-    for array in grid:
-        array.flags.writeable = False
-    return grid
-
-
-def _companion_roots(coeffs: list[np.ndarray]) -> list[np.ndarray]:
-    """The roots z of z^D p(z) = sum c_k z^(k + D) for each array of
-    ``coeffs`` (c_0 .. c_n/2, with c_-k the conjugate of c_k, D the largest k
-    with c_k != 0): the eigenvalues of the companion matrix that
-    ``numpy.roots`` forms, from one stacked eigensolve per degree."""
-    degrees = [int(np.nonzero(c)[0].max()) for c in coeffs]
-    roots = [np.zeros(0, dtype=complex)] * len(coeffs)
-    for degree in set(degrees) - {0}:
-        group = [i for i, d in enumerate(degrees) if d == degree]
-        # highest power first: c_D .. c_-D
-        poly = np.array(
-            [np.concatenate([coeffs[i][degree::-1], np.conj(coeffs[i][1:degree + 1])])
-             for i in group]
-        )
-        companion = np.zeros((len(group), 2 * degree, 2 * degree), dtype=complex)
-        companion[:, 1:, :-1] = np.eye(2 * degree - 1)
-        companion[:, 0] = -poly[:, 1:] / poly[:, :1]
-        for i, z in zip(group, np.linalg.eigvals(companion)):
-            roots[i] = z
-    return roots
-
-
 def _fourier_roots(
     spec: ActionSpec, f, names: tuple[str, ...]
 ) -> list[tuple[list[float], RootDiagnostics]]:
     """The roots in the principal window of each function of ``names`` and
     how they were found, from the trigonometric interpolant over one period
     of its row of ``f`` (t -> stack of the functions); see the module
-    docstring.  The rows not yet accepted at an n share one FFT, and
-    :func:`_companion_roots` takes the eigenvalues of all rows at once."""
+    docstring."""
     n, evaluations, accepted = FOURIER_FIRST_N, 0, {}
     while len(accepted) < len(names):
-        ts, phase, basis = _fourier_grid(n)
+        # Odd multiples of pi / 2n: the even-numbered ones are the nodes,
+        # the others the midpoints.
+        ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
         values = f(ts)
         evaluations += len(ts)
+        k = np.arange(n // 2 + 1)
         rows = [row for row in range(len(names)) if row not in accepted]
         nodes, mids = values[rows, 0::2], values[rows, 1::2]
         # c_k for k >= 0 (c_-k is its conjugate); the nodes start at ts[0],
         # and the Nyquist term is split between k = +-n/2.
-        coeffs = np.fft.rfft(nodes, axis=-1) * phase / n
+        coeffs = np.fft.rfft(nodes, axis=-1) * np.exp(-1j * k * ts[0]) / n
         coeffs[:, -1] /= 2.0
         sizes = np.abs(coeffs).max(axis=1)
         tails = np.abs(coeffs[:, n // 4 + 1:]).max(axis=1) / sizes
+        basis = np.exp(1j * np.outer(ts[1::2], k))
         interpolated = 2.0 * (coeffs[:, None] * basis).sum(axis=-1).real - coeffs[:, :1].real
         defects = np.abs(interpolated - mids).max(axis=1) / np.abs(nodes).max(axis=1)
         for row, c, size, tail, defect in zip(rows, coeffs, sizes, tails, defects):
@@ -258,9 +222,12 @@ def _fourier_roots(
         n *= 2
 
     lo, hi = principal_interval(spec)
-    results = [accepted[row] for row in range(len(names))]
     found = []
-    for name, (_, diag), z in zip(names, results, _companion_roots([c for c, _ in results])):
+    for row, name in enumerate(names):
+        coeffs, diag = accepted[row]
+        degree = int(np.nonzero(coeffs)[0].max())
+        # z^D p(z) = sum c_k z^(k + D), highest power first: c_D .. c_-D.
+        z = np.roots(np.concatenate([coeffs[degree::-1], np.conj(coeffs[1:degree + 1])]))
         off = np.abs(np.abs(z) - 1.0)
         # each t + 2 pi j in the period that starts END_TOL below the window;
         # on the window (give or take END_TOL) if any copy is

@@ -168,11 +168,12 @@ class TestRootFinding:
         # One kernel pass per type: the 2n = 32 nodes and midpoints reach
         # curvature_invariants as one array call of one block, then one
         # block for the minimal spectrum and the |H| filter; the orbit
-        # dimensions at the window ends come from the spec.
+        # dimensions at the window ends come from the spec.  The kernel takes
+        # its rows from the spec's coefficients, so g(t) is never formed.
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
-        frames, grids = [], []
-        kernel, invariants = orbits._frames, module.curvature_invariants
+        frames, grids, geodesics = [], [], []
+        kernel, invariants, geodesic = orbits._frames, module.curvature_invariants, orbits._geodesic
 
         def counted_frames(spec, ts):
             frames.append(len(ts))
@@ -184,7 +185,12 @@ class TestRootFinding:
             grids.append((np.shape(t), frames[before:]))
             return values
 
+        def counted_geodesic(spec, t):
+            geodesics.append(t)
+            return geodesic(spec, t)
+
         monkeypatch.setattr(orbits, "_frames", counted_frames)
+        monkeypatch.setattr(orbits, "_geodesic", counted_geodesic)
         monkeypatch.setattr(module, "curvature_invariants", counted_invariants)
         for ty in ALL_TYPES:
             frames.clear()
@@ -193,24 +199,7 @@ class TestRootFinding:
             roots = len(classify_type(ty).biharmonic_t)
             assert frames == [2 * FOURIER_FIRST_N, 1 + roots], (ty, frames)
             assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
-
-    def test_cold_classification_never_forms_g(self, monkeypatch):
-        # the frame kernel takes its rows from the spec's coefficients
-        orbits = importlib.import_module("g2orbits.orbits")
-        calls = {"_geodesic": 0, "_frames": 0}
-        for name in calls:
-            original = getattr(orbits, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(orbits, name, counted)
-        for ty in ALL_TYPES:
-            calls.update(_geodesic=0, _frames=0)
-            res = classify_type.__wrapped__(ty)  # uncached
-            assert calls == {"_geodesic": 0, "_frames": 2}, ty
-            assert res.passed
+            assert geodesics == [], ty
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_one_pass_over_both_functions_equals_each_alone(self, ty):

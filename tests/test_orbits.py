@@ -475,15 +475,16 @@ class TestFrameKernel:
         assert norm == pytest.approx(closed_norm, rel=2.5e-13)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
-    def test_relative_error_near_the_singular_end_is_at_most_eps_over_t(self, ty):
+    def test_relative_error_near_the_singular_end_is_at_most_half_eps_over_t(self, ty):
         # cond(R) grows like 1/t next to the singular orbit at t = 0, so
-        # eps / t is the size of the rounding the frames can reach there;
-        # the worst ratio measured is 0.29 (V, |A|^2).
+        # eps / t is the size of the rounding the frames can reach there.
+        # Over 3000 geometric t in [1e-4, 1e-2] the worst ratio is 0.35
+        # (V); over these 60 it is 0.29 (V, |A|^2), 0.21 for III.
         ts = np.geomspace(1e-4, 1e-2, 60)
         engine = curvature_invariants(action_spec(ty), ts)
         for value, closed in zip(engine, spectrum_moments(action_record(ty), ts)):
             relative = np.abs(value - closed) / np.abs(closed)
-            assert np.all(relative <= np.finfo(float).eps / ts)
+            assert np.all(relative <= 0.5 * np.finfo(float).eps / ts)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
