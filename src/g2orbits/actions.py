@@ -11,9 +11,9 @@ moments), the austere verdict of the minimal orbit, the orbit-reversing
 isometry x -> a x^eps b of types III and IV as the data (a, eps, b) that
 :func:`g2orbits.orbits.verify_reflection` certifies, and the note on the
 tan^2 reading of the type V biharmonic parameters.
-:class:`g2orbits.orbits.ActionSpec` extends the record with the subalgebras
-and generators built from it and derives the minimal and biharmonic
-parameters from them.
+:class:`g2orbits.orbits.ActionSpec` takes exactly these fields and derives
+everything else from them: the subalgebras and generators, the codimensions
+of the singular orbits, and the minimal and biharmonic parameters.
 """
 
 from __future__ import annotations

@@ -39,20 +39,23 @@ isometry x -> a x^eps b of types III and IV.
 
 An :class:`ActionSpec` is the record of its type from
 :mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
-ranges, closed forms) together with the geometry and reference parameters
-built from it; the unit normal at a principal parameter is oriented along the
-section generator, and t = section_ratio * s.  When it is built, every
-spec certifies what the kernel then assumes at every t: X^3 = -X (so the
-closed form of g(t) and the five coefficient blocks are exact), an
-orthonormal basis [K; K_perp] of the ambient algebra, and Ad(g(t))^{-1} h
-inside the ambient algebra at every t, certified on the five coefficient
-blocks rather than on samples of t.  :func:`_geodesic` forms g(t) itself
-only for :func:`orbit_frame` and :func:`verify_reflection`.
+ranges, closed forms) and everything derived from it in one pass: the
+geometry, the kernel's coefficients, the codimensions of the singular orbits
+and the reference parameters.  Only the record's fields can be set, so a
+spec built by ``dataclasses.replace`` is as consistent as one of the four
+built by :func:`action_spec`.  The unit normal at a principal parameter is
+oriented along the section generator, and t = section_ratio * s.  When it is
+built, every spec certifies what the kernel then assumes at every t:
+X^3 = -X (so the closed form of g(t) and the five coefficient blocks are
+exact), an orthonormal basis [K; K_perp] of the ambient algebra, and
+Ad(g(t))^{-1} h inside the ambient algebra at every t, certified on the five
+coefficient blocks rather than on samples of t.  :func:`_geodesic` forms
+g(t) itself only for :func:`verify_reflection`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -96,38 +99,43 @@ class SingularOrbitError(RuntimeError):
 
 @dataclass(frozen=True, kw_only=True)
 class ActionSpec(ActionRecord):
-    """The record of one action type with its geometry built.
+    """The record of one action type and everything derived from it.
 
+    Only the record's fields are set by the constructor; every other field
+    is derived from them by :meth:`__post_init__`, so ``dataclasses.replace``
+    of a record field yields a consistent spec and refuses a derived field.
     g(t) = exp(tX) is formed from X = ``geodesic_generator`` alone.  The
     fields ``ambient_rows`` to ``ad_section`` describe the ambient algebra in
     the orthonormal coordinates (under inner_g, basis e_a) in which frames
-    are computed, the next five hold the facts and references of
-    :func:`_references`, and ``h_terms`` and ``h_terms_perp``, the
-    coefficients of the frame kernel's rows, are derived from X and h by
-    :meth:`__post_init__`.
+    are computed, ``h_terms`` and ``h_terms_perp`` are the coefficients of
+    the frame kernel's rows, and the last five hold the facts and references
+    of :func:`_references`.
     """
 
-    ambient: NamedSubalgebra
-    h: NamedSubalgebra
-    k: NamedSubalgebra
-    geodesic_generator: np.ndarray  # X, with X^3 = -X certified
-    section_generator: np.ndarray
-    ambient_rows: np.ndarray  # (d, 64), the e_a as rows
-    k_coords: np.ndarray  # (k.dim, d), coordinates of the basis of k
-    k_perp: np.ndarray  # (d - k.dim, d), an orthonormal basis of the complement of k
-    unit_section: np.ndarray  # (d,), coordinates of the unit section generator xi
-    ad_section: np.ndarray  # (d, d), [a, b] = <e_a, [e_b, xi]>
-    normal_speed_sq: float  # c^2
-    ricci: float  # Ric(xi, xi)
-    singular_codims: tuple[int, ...]  # k_s at each entry of singular_ts
-    minimal_t: float
-    biharmonic_t: tuple[float, ...]
+    ambient: NamedSubalgebra = field(init=False)
+    h: NamedSubalgebra = field(init=False)
+    k: NamedSubalgebra = field(init=False)
+    geodesic_generator: np.ndarray = field(init=False)  # X, with X^3 = -X certified
+    section_generator: np.ndarray = field(init=False)
+    ambient_rows: np.ndarray = field(init=False)  # (d, 64), the e_a as rows
+    k_coords: np.ndarray = field(init=False)  # (k.dim, d), coordinates of the basis of k
+    k_perp: np.ndarray = field(init=False)  # (d - k.dim, d), orthonormal complement of k
+    unit_section: np.ndarray = field(init=False)  # (d,), the unit section generator xi
+    ad_section: np.ndarray = field(init=False)  # (d, d), [a, b] = <e_a, [e_b, xi]>
     h_terms: np.ndarray = field(init=False, repr=False)  # (5, p, d), see __post_init__
     h_terms_perp: np.ndarray = field(init=False, repr=False)  # (5, p, d - q)
+    normal_speed_sq: float = field(init=False)  # c^2
+    ricci: float = field(init=False)  # Ric(xi, xi)
+    singular_codims: tuple[int, ...] = field(init=False)  # k_s at each entry of singular_ts
+    minimal_t: float = field(init=False)
+    biharmonic_t: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        """Refuse a spec that breaks an assumption of the kernel (see the module
-        docstring), and derive ``h_terms`` and ``h_terms_perp``.
+        """Derive every field past the record's in one pass: the geometry, the
+        checks of the assumptions of the kernel (see the module docstring),
+        the coefficients ``h_terms`` and ``h_terms_perp``, the codimensions of
+        the singular orbits from the kernel, and the references.  A spec that
+        breaks an assumption is refused.
 
         With s = sin t and c = 2 sin^2(t/2), g(t) = I + s X + c X^2, and as
         X^3 = -X (so s^2 = 2c - c^2 may be traded for c and c^2), exactly
@@ -139,10 +147,29 @@ class ActionSpec(ActionRecord):
         stays inside the ambient algebra at every t iff each M_j (for each
         h_p) does, so the containment is certified on the M_j themselves.
         ``h_terms`` holds their ambient coordinates, (5, p, d), and
-        ``h_terms_perp`` those times K_perp^T, (5, p, d - q).  Both are derived
-        here, so a spec from ``dataclasses.replace`` carries its own.
+        ``h_terms_perp`` those times K_perp^T, (5, p, d - q).
         """
-        x, kk = self.geodesic_generator, np.concatenate([self.k_coords, self.k_perp])
+
+        def derive(**values):
+            for name, value in values.items():
+                object.__setattr__(self, name, value)
+
+        ambient, k = named_subalgebra(self.ambient_name), named_subalgebra(self.k_name)
+        x, section = v_elem(4, *self.geodesic), v_elem(4, *self.section)
+        rows = _to_rows(ambient.basis)
+        k_coords = _to_rows(k.basis) @ rows.T
+        k_perp = np.linalg.svd(k_coords)[2][k.dim:]
+        unit_section = _to_rows(section[None])[0] @ rows.T
+        unit_section /= np.linalg.norm(unit_section)
+        ad_section = _ad_matrix(ambient.basis, unit_section)
+        derive(
+            ambient=ambient, h=named_subalgebra(self.h_name), k=k, geodesic_generator=x,
+            section_generator=section, ambient_rows=rows, k_coords=k_coords, k_perp=k_perp,
+            unit_section=unit_section, ad_section=ad_section,
+            normal_speed_sq=inner_g(x, section) ** 2 / inner_g(section, section),
+            ricci=0.25 * float(np.sum(ad_section**2)),
+        )
+        kk = np.concatenate([k_coords, k_perp])
         for claim, defect in (
             ("geodesic X^3 = -X fails", np.abs(x @ x @ x + x).max()),
             ("[k; k_perp] is not an orthogonal basis", np.abs(kk @ kk.T - np.eye(len(kk))).max()),
@@ -155,57 +182,30 @@ class ActionSpec(ActionRecord):
             [h, h @ x - x @ h, h @ x2 + x2 @ h - 2 * xhx, x2 @ h @ x - x @ h @ x2,
              x2 @ h @ x2 + xhx]
         ).reshape(-1, 8, 8)
-        residual = _outside(terms, self.ambient.basis)
+        residual = _outside(terms, ambient.basis)
         if residual > 2e-10:
             raise NotASubspaceError(
                 f"type {self.action_type}: Ad(g)^-1 h leaves the ambient algebra "
                 f"(residual {residual:.3e} over the five coefficients M_j)"
             )
-        coords = (_to_rows(terms) @ self.ambient_rows.T).reshape(5, len(h), -1)
-        object.__setattr__(self, "h_terms", coords)
-        object.__setattr__(self, "h_terms_perp", coords @ self.k_perp.T)
+        coords = (_to_rows(terms) @ rows.T).reshape(5, len(h), -1)
+        derive(h_terms=coords, h_terms_perp=coords @ k_perp.T)
+        codims = tuple(ambient.dim - _frames(self, np.array([s]))[1] for s in self.singular_ts)
+        derive(singular_codims=codims)
+        minimal_t, biharmonic_t = _references(self)
+        derive(minimal_t=minimal_t, biharmonic_t=biharmonic_t)
 
 
 @lru_cache(maxsize=None)
 def action_spec(action_type: str) -> ActionSpec:
     """The configuration of one of the action types II, III, IV, V."""
-    record = action_record(action_type)
-    ambient = named_subalgebra(record.ambient_name)
-    k = named_subalgebra(record.k_name)
-    section = v_elem(4, *record.section)
-    x = v_elem(4, *record.geodesic)
-    rows = _to_rows(ambient.basis)
-    k_coords = _to_rows(k.basis) @ rows.T
-    unit_section = _to_rows(section[None])[0] @ rows.T
-    unit_section /= np.linalg.norm(unit_section)
-    ad_section = _ad_matrix(ambient.basis, unit_section)
-    spec = ActionSpec(
-        **{f.name: getattr(record, f.name) for f in fields(record)},
-        ambient=ambient,
-        h=named_subalgebra(record.h_name),
-        k=k,
-        geodesic_generator=x,
-        section_generator=section,
-        ambient_rows=rows,
-        k_coords=k_coords,
-        k_perp=np.linalg.svd(k_coords)[2][k.dim:],
-        unit_section=unit_section,
-        ad_section=ad_section,
-        normal_speed_sq=inner_g(x, section) ** 2 / inner_g(section, section),
-        ricci=0.25 * float(np.sum(ad_section**2)),
-        singular_codims=(),
-        minimal_t=np.nan,
-        biharmonic_t=(),
-    )
-    codims = tuple(ambient.dim - _frames(spec, np.array([s]))[1] for s in record.singular_ts)
-    minimal_t, biharmonic_t = _references(spec, codims)
-    return replace(spec, singular_codims=codims, minimal_t=minimal_t, biharmonic_t=biharmonic_t)
+    return ActionSpec(**vars(action_record(action_type)))
 
 
-def _references(spec: ActionSpec, codims: tuple[int, ...]) -> tuple[float, tuple[float, ...]]:
+def _references(spec: ActionSpec) -> tuple[float, tuple[float, ...]]:
     """``minimal_t`` and ``biharmonic_t`` from c^2, Ric(xi, xi) and the
-    codimensions k_s of the singular orbits, with s taken mod pi once (at 0
-    and pi/2 for all four types).
+    codimensions k_s (``singular_codims``) of the singular orbits, with s
+    taken mod pi once (at 0 and pi/2 for all four types).
 
     The orbit volume goes as prod sin^(k_s - 1)(t - s) (Hsiang-Lawson,
     J. Differential Geom. 5 (1971)), so H = -(1/c) sum (k_s - 1) cot(t - s)
@@ -217,7 +217,7 @@ def _references(spec: ActionSpec, codims: tuple[int, ...]) -> tuple[float, tuple
     principal raises ValueError.
     """
     exponents = {}
-    for s, k in zip(spec.singular_ts, codims):
+    for s, k in zip(spec.singular_ts, spec.singular_codims):
         if k < 2:
             raise ValueError(
                 f"type {spec.action_type}: the orbit at the singular parameter t={s} is principal"
@@ -249,7 +249,6 @@ class OrbitFrame:
     """
 
     t: float
-    x: np.ndarray  # g(t)
     tangent: Subspace
     normal: Subspace
     tangent_rows: np.ndarray  # (tangent.dim, d)
@@ -371,8 +370,7 @@ def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
     vt, dim, lifts, residual = _frames(spec, np.array([t], dtype=float))
     tangent = Subspace(_from_rows(vt[0, :dim] @ spec.ambient_rows), dim)
     normal = Subspace(_from_rows(vt[0, dim:] @ spec.ambient_rows), len(vt[0]) - dim)
-    x = _geodesic(spec, t)
-    return OrbitFrame(t, x, tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
+    return OrbitFrame(t, tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
 
 
 def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> np.ndarray:

@@ -32,7 +32,7 @@ from g2orbits.classify import (
 )
 from g2orbits.orbits import action_spec, curvature_invariants, is_austere, shape_norm_sq
 
-from util import MEAN_CURVATURE, spectrum_moments
+from util import MEAN_CURVATURE, replaced, spectrum_moments
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -261,13 +261,19 @@ class TestRootFinding:
         res = classify(spec)
         assert res.biharmonic_t == tuple(find_biharmonic(spec)[0])
         assert res.biharmonic_t != classify_type("II").biharmonic_t
+        # the references are re-derived for the replaced lambda, not kept
+        # from the spec it was replaced from
+        expected = _closed_form_roots("II", 9.0)
+        assert len(res.closed_form_biharmonic_t) == len(expected) == 2
+        assert max(abs(a - b) for a, b in zip(res.closed_form_biharmonic_t, expected)) < 1e-10
+        assert res.passed is True
 
-    def test_a_root_outside_the_parameter_tolerance_carries_a_note(self):
+    def test_a_root_outside_the_parameter_tolerance_carries_a_note(self, monkeypatch):
         # 1e-7 is above the 1e-8 tolerance that fails the row on the
         # command line, so the note must say why.
         assert PARAMETER_TOLERANCE < 1e-7
         ref = REFERENCE_MINIMAL_T["II"]
-        res = classify(dataclasses.replace(action_spec("II"), minimal_t=ref + 1e-7))
+        res = classify(replaced(monkeypatch, action_spec("II"), minimal_t=ref + 1e-7))
         assert res.closed_form_minimal_t == ref + 1e-7
         assert any("deviates from the closed-form value" in n for n in res.discrepancy_notes)
 
@@ -278,7 +284,7 @@ class TestRootFinding:
         assert any(note in n for n in res.discrepancy_notes)
         assert res.passed is False
 
-    def test_verdict_and_deviations_come_with_the_result(self):
+    def test_verdict_and_deviations_come_with_the_result(self, monkeypatch):
         for ty in ALL_TYPES:
             res = classify_type(ty)
             pairs = zip(res.biharmonic_t, res.closed_form_biharmonic_t)
@@ -286,7 +292,7 @@ class TestRootFinding:
             assert res.biharmonic_deviation == max(abs(a - b) for a, b in pairs)
             assert res.passed is True
         ref = REFERENCE_BIHARMONIC_T["II"]
-        res = classify(dataclasses.replace(action_spec("II"), biharmonic_t=ref[:1]))
+        res = classify(replaced(monkeypatch, action_spec("II"), biharmonic_t=ref[:1]))
         assert res.passed is False and res.biharmonic_deviation < PARAMETER_TOLERANCE
 
     @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])

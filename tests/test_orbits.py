@@ -13,6 +13,7 @@ from g2orbits.classify import classify_type, principal_interval
 from g2orbits.linalg import NotASubspaceError, _to_rows, expm, g_basis, inner_g, v_elem, zeta
 from g2orbits.orbits import (
     FRAME_BLOCK,
+    ActionSpec,
     SingularOrbitError,
     _frames,
     _generator_rows,
@@ -31,7 +32,7 @@ from g2orbits.orbits import (
 )
 from g2orbits.triality import SIGMA, named_subalgebra
 
-from util import lift_generators, shape_oracle, spectrum_moments
+from util import lift_generators, replaced, shape_oracle, spectrum_moments
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -135,13 +136,31 @@ class TestActionSpecs:
             with pytest.raises(ValueError, match=message):
                 action_spec("kII")
 
-    def test_replaced_h_leaving_the_ambient_algebra_is_refused(self):
+    def test_replaced_h_leaving_the_ambient_algebra_is_refused(self, monkeypatch):
         # Every spec runs its checks, also one built by dataclasses.replace.
         spec = action_spec("IV")
         basis = spec.h.basis.copy()
         basis[0] += 1e-3 * g_basis(0, 1)  # G_01 is orthogonal to so(7)
+        corrupted = dataclasses.replace(spec.h, basis=basis)
+        monkeypatch.setattr(
+            orbits, "named_subalgebra",
+            lambda name: corrupted if name == "so3_so4" else named_subalgebra(name),
+        )
         with pytest.raises(NotASubspaceError, match=r"leaves the ambient algebra \(residual"):
-            dataclasses.replace(spec, h=dataclasses.replace(spec.h, basis=basis))
+            dataclasses.replace(spec)
+
+    def test_a_replaced_record_field_rederives_the_codimensions(self):
+        spec = dataclasses.replace(action_spec("II"), singular_ts=(0.0,))
+        assert spec.singular_codims == (4,)
+
+    def test_a_derived_field_cannot_be_replaced(self):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(action_spec("II"), minimal_t=1.0)
+
+    def test_only_the_record_is_settable(self):
+        # every other field is derived by ActionSpec.__post_init__
+        settable = {f.name for f in dataclasses.fields(ActionSpec) if f.init}
+        assert settable == {f.name for f in dataclasses.fields(ActionRecord)}
 
     def test_spec_carries_its_record(self):
         for ty in ALL_TYPES:
@@ -165,7 +184,7 @@ class TestGeodesic:
     def test_replaced_generator_is_the_one_exponentiated(self):
         # X^2 comes from the certified generator, not from a field of its own
         x = action_spec("V").geodesic_generator
-        spec = dataclasses.replace(action_spec("III"), geodesic_generator=x)
+        spec = dataclasses.replace(action_spec("III"), geodesic=ACTIONS["V"].geodesic)
         for t in (0.3, 1.0, 2.0):
             assert np.abs(_geodesic(spec, t) - expm(x, t)).max() < 1e-14
 
@@ -231,7 +250,7 @@ class TestGeneratorRows:
         # the coefficients are derived from the spec's own X, so a replaced
         # generator cannot leave III's rows behind
         iii = action_spec("III")
-        spec = dataclasses.replace(iii, geodesic_generator=action_spec("V").geodesic_generator)
+        spec = dataclasses.replace(iii, geodesic=ACTIONS["V"].geodesic)
         ts = np.linspace(0.2, 1.3, 5)
         rows = _generator_rows(spec, ts)[0]
         direct = _conjugated_rows(spec, _geodesic(spec, ts))
@@ -293,7 +312,7 @@ class TestShapeOperator:
             t = rng.uniform(lo + 0.15, hi - 0.15)
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            raw = shape_oracle(spec, frame.x, frame.tangent.basis, n)
+            raw = shape_oracle(spec, _geodesic(spec, t), frame.tangent.basis, n)
             assert np.abs(raw - raw.T).max() < 1e-9
 
     def test_rejects_bad_normal(self):
@@ -321,7 +340,7 @@ class TestShapeOperator:
             n = unit_normal(spec, t, frame=frame)
             base = shape_operator(spec, t, n, frame=frame)
 
-            gens = lift_generators(spec, frame.x)
+            gens = lift_generators(spec, _geodesic(spec, t))
             columns = gens.reshape(len(gens), -1).T
             _, sv, vt = np.linalg.svd(columns, full_matrices=True)
             null = vt[np.sum(sv > 1e-9 * sv[0]):]
@@ -332,7 +351,7 @@ class TestShapeOperator:
                 columns, vectors.reshape(len(vectors), -1).T, rcond=None
             )
             coeffs += null.T @ rng.normal(size=(len(null), len(vectors)))
-            perturbed = shape_oracle(spec, frame.x, vectors, n, coeffs=coeffs)
+            perturbed = shape_oracle(spec, _geodesic(spec, t), vectors, n, coeffs=coeffs)
             assert np.abs(perturbed - base).max() < 1e-9
 
     def test_frame_independence(self, rng):
@@ -347,7 +366,7 @@ class TestShapeOperator:
         m = frame.tangent.dim
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         rotated = np.einsum("ij,jab->iab", q, frame.tangent.basis)
-        rotated_shape = shape_oracle(spec, frame.x, rotated, n)
+        rotated_shape = shape_oracle(spec, _geodesic(spec, t), rotated, n)
         ours = np.sort(np.linalg.eigvalsh(0.5 * (rotated_shape + rotated_shape.T)))
         ref = np.sort(np.linalg.eigvalsh(base))
         assert np.abs(ours - ref).max() < 1e-9
@@ -450,7 +469,7 @@ class TestFrameKernel:
         for t, mean, norm in zip(ts, means, norms):
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            raw = shape_oracle(spec, frame.x, frame.tangent.basis, n)
+            raw = shape_oracle(spec, _geodesic(spec, t), frame.tangent.basis, n)
             s = 0.5 * (raw + raw.T)
             for value, scalar, oracle in [
                 (mean, mean_curvature(spec, float(t)), np.trace(s)),
@@ -549,19 +568,19 @@ class TestFrameKernel:
         assert curvature_invariants(spec, ts[0]).shape == (2,)
         assert np.array_equal(curvature_invariants(spec, ts[:, None]), invariants[:, :, None])
 
-    def test_singular_parameter_in_array(self):
+    def test_singular_parameter_in_array(self, monkeypatch):
         spec = action_spec("II")
         ts = np.array([0.3, 0.6, 0.0, 0.9])
         with pytest.raises(SingularOrbitError):
             shape_norm_sq(spec, ts)
         # past the principal guard, the rank check refuses the singular orbit
-        unguarded = dataclasses.replace(spec, singular_ts=(-1.0,))
+        monkeypatch.setattr(orbits, "SINGULAR_GUARD", 0.0)
         with pytest.raises(SingularOrbitError) as err:
-            mean_curvature(unguarded, ts)
+            mean_curvature(spec, ts)
         assert err.value.codimension == 4
         # a normal that is not orthogonal to the tangent space is refused,
         # and the principal orbit is not reported as a singular one
-        tilted = dataclasses.replace(spec, unit_section=np.eye(spec.ambient.dim)[0])
+        tilted = dataclasses.replace(spec, section=(1, -1, 0))
         with pytest.raises(ArithmeticError, match=r"not normal to the orbit at t=0\.3 \(max"):
             mean_curvature(tilted, ts[:2])
 
@@ -661,8 +680,8 @@ class TestReflections:
         ],
         ids=["iv_without_sigma", "iii_moved_base_point", "ii_inversion", "iv_sigma_conjugation"],
     )
-    def test_a_wrong_isometry_fails(self, ty, changes):
-        assert not verify_reflection(dataclasses.replace(action_spec(ty), **changes))
+    def test_a_wrong_isometry_fails(self, ty, changes, monkeypatch):
+        assert not verify_reflection(replaced(monkeypatch, action_spec(ty), **changes))
 
 
 class TestSingularOrbits:

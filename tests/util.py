@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
+from g2orbits import orbits
 from g2orbits.linalg import expm, norm_g
 from g2orbits.triality import named_subalgebra, spin_lift_exp
 
@@ -21,6 +24,23 @@ def spectrum_moments(record, t):
     second moments sum m v and sum m v^2, at t or at each entry of an array."""
     spectrum = record.spectrum(np.asarray(t, dtype=float))
     return sum(m * v for v, m in spectrum), sum(m * v * v for v, m in spectrum)
+
+
+def replaced(monkeypatch, spec, **changes):
+    """``dataclasses.replace(spec, **changes)``, where ``changes`` may also
+    name the references ``minimal_t`` and ``biharmonic_t``, which a spec
+    derives and ``replace`` refuses: :func:`g2orbits.orbits._references` is
+    patched, for the rest of the test, to return them in place of its own."""
+    moved = {name: changes.pop(name) for name in ("minimal_t", "biharmonic_t") if name in changes}
+    if moved:
+        derive = orbits._references
+
+        def references(spec):
+            minimal_t, biharmonic_t = derive(spec)
+            return moved.get("minimal_t", minimal_t), moved.get("biharmonic_t", biharmonic_t)
+
+        monkeypatch.setattr(orbits, "_references", references)
+    return dataclasses.replace(spec, **changes)
 
 
 def random_skew(rng, scale=1.0):
