@@ -1,6 +1,9 @@
 """Verified computational engine for octonions, triality and the orbit
 geometry of the cohomogeneity-one actions of SO(4) x SU(3) on G2 and of
-G2 x G2, (SO(3) x SO(4)) x G2 and U(3) x G2 on SO(7)."""
+G2 x G2, (SO(3) x SO(4)) x G2 and U(3) x G2 on SO(7).
+
+``g2orbits.classify`` is the function, which hides its submodule of the same
+name; reach the module with ``from g2orbits.classify import ...``."""
 
 __version__ = "0.1.0"
 

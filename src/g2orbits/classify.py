@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .actions import action_record
+from .actions import ActionRecord, action_record
 from .orbits import (
     ACTION_TYPES,
     ActionSpec,
@@ -92,21 +92,17 @@ def principal_interval(spec: ActionSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_in_range(action_type: str, t: float):
-    record = action_record(action_type)
+def _closed_form(record: ActionRecord, t: float) -> list[tuple[float, int]]:
+    """The closed-form spectrum of ``record`` at a principal ``t``, sorted."""
     lo, hi = record.t_range
-    inside = lo < t <= hi
-    near_singular = any(abs(t - s) < 1e-9 for s in record.singular_ts)
-    if not inside or near_singular:
-        raise ValueError(
-            f"t={t} is outside the principal range of type {action_type}"
-        )
+    if not lo < t <= hi or any(abs(t - s) < 1e-9 for s in record.singular_ts):
+        raise ValueError(f"t={t} is outside the principal range of type {record.action_type}")
+    return sorted(record.spectrum(t))
 
 
 def closed_form_spectrum(action_type: str, t: float) -> list[tuple[float, int]]:
     """Principal curvatures with multiplicities, sorted ascending."""
-    _check_in_range(action_type, t)
-    return sorted(action_record(action_type).spectrum(t))
+    return _closed_form(action_record(action_type), t)
 
 
 _SPECS = {ty: action_spec(ty) for ty in ACTION_TYPES}
@@ -306,10 +302,11 @@ def compare_spectra(spec: ActionSpec, t: float, tol: float = 1e-6) -> float:
     """Max absolute deviation between computed and closed-form spectra.
 
     The computed spectrum is clustered with tolerance ``tol`` and compared
-    by :func:`spectrum_deviation`.
+    by :func:`spectrum_deviation` with the closed form and range of ``spec``
+    itself.
     """
     report = spectrum_report(spec, t, cluster_tol=tol)
-    reference = closed_form_spectrum(spec.action_type, t)
+    reference = _closed_form(spec, t)
     return spectrum_deviation(spec.action_type, t, report.curvatures, reference)
 
 

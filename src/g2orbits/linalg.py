@@ -6,11 +6,13 @@ traceless members span the derivation algebra g2 (their G terms are derived
 from the octonion sign and index tables), the matrix bracket, the invariant
 inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter
 (for Spin(7) lifts, the reflection isometries, demos and tests; orbit
-frames use a closed form), orthonormal bases of spans from
-LAPACK's singular value decomposition (the numerical rank counts the
-singular values above a tolerance relative to the largest one, also for a
-stack of matrices), orthogonal complements, and symmetric eigenvalues from
-LAPACK clustered into multiplicities.
+frames use a closed form), orthonormal bases of spans from LAPACK's
+singular value decomposition (the numerical rank counts the singular values
+above 1e-9 times the largest one, also for a stack of matrices), the
+distance of matrices off an orthonormal span (:func:`off_span`), orthogonal
+complements as the null space of one SVD of the sub's coordinates in the
+ambient basis, and symmetric eigenvalues from LAPACK clustered into
+multiplicities.
 
 Everything operates on plain numpy arrays and is safe for concurrent use.
 """
@@ -24,6 +26,8 @@ import numpy as np
 from .octonion import INDEX, SIGN
 
 _SQRT2 = np.sqrt(2.0)
+#: The numerical rank counts the singular values above this times the largest.
+_RANK_RTOL = 1e-9
 
 
 class NotASubspaceError(ValueError):
@@ -120,7 +124,7 @@ def norm_g(x: np.ndarray) -> float:
     return float(np.sqrt(max(inner_g(x, x), 0.0)))
 
 
-def expm(x: np.ndarray, t: float = 1.0) -> np.ndarray:
+def expm(x: np.ndarray, t: float) -> np.ndarray:
     """exp(tX) at one parameter ``t`` by scaling and squaring of a truncated
     power series (Moler & Van Loan, SIAM Rev. 45 (2003)).
 
@@ -155,36 +159,33 @@ class Subspace:
 
 def _to_rows(mats: np.ndarray) -> np.ndarray:
     # Row coordinates in which the Euclidean dot product equals inner_g.
-    return mats.reshape(mats.shape[0], -1) / _SQRT2
+    return mats.reshape(len(mats), 64) / _SQRT2
 
 
 def _from_rows(rows: np.ndarray) -> np.ndarray:
     return (rows * _SQRT2).reshape(-1, 8, 8)
 
 
-def ranked_svd(rows: np.ndarray, rel_tol: float = 1e-9, abs_tol: float = 0.0):
+def ranked_svd(rows: np.ndarray, abs_tol: float = 0.0):
     """Thin SVD ``u, sing, vt`` of ``rows`` and its numerical rank ``dim``.
 
     ``rows`` may carry leading batch axes; ``dim`` then has their shape.
-    The rank counts the singular values above ``rel_tol`` times the largest
-    one and above ``abs_tol``.
+    The rank counts the singular values above 1e-9 times the largest one
+    and above ``abs_tol``.
     """
     u, sing, vt = np.linalg.svd(rows, full_matrices=False)
-    dim = np.count_nonzero(sing > np.maximum(rel_tol * sing[..., :1], abs_tol), axis=-1)
+    dim = np.count_nonzero(sing > np.maximum(_RANK_RTOL * sing[..., :1], abs_tol), axis=-1)
     return u, sing, vt, dim
 
 
-def orthonormalize(generators, rel_tol: float = 1e-9, abs_tol: float = 0.0) -> Subspace:
+def orthonormalize(generators) -> Subspace:
     """Orthonormal basis under inner_g of the span of ``generators``.
 
     One LAPACK SVD of the generators' row coordinates gives both the rank
     and the basis (see :func:`ranked_svd`): ``dim`` is the numerical rank
     and the basis is the matching right singular vectors.
     """
-    mats = np.asarray(list(generators), dtype=float)
-    if mats.size == 0:
-        return Subspace(np.zeros((0, 8, 8)), 0)
-    _, _, vt, dim = ranked_svd(_to_rows(mats), rel_tol, abs_tol)
+    _, _, vt, dim = ranked_svd(_to_rows(np.asarray(list(generators), dtype=float)))
     return Subspace(_from_rows(vt[:dim]), int(dim))
 
 
@@ -197,31 +198,31 @@ def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return -0.5 * (x.reshape(x.shape[:-2] + (64,)) @ rows.T)
 
 
-def complement(sub, ambient) -> Subspace:
-    """Orthogonal complement of ``sub`` inside ``ambient``.
+def off_span(mats: np.ndarray, basis: np.ndarray) -> float:
+    """Largest norm_g of a matrix of the stack ``mats`` off the span of the
+    orthonormal ``basis``; 0 for an empty stack."""
+    rows, target = _to_rows(mats), _to_rows(basis)
+    return float(np.linalg.norm(rows - rows @ target.T @ target, axis=1).max(initial=0.0))
 
-    Both arguments need orthonormal ``basis`` / ``dim`` attributes.  Raises
-    :class:`NotASubspaceError` when a basis vector of ``sub`` sticks out of
-    ``ambient`` by more than 1e-9, which is also the rank threshold.
+
+def complement(sub: Subspace, ambient: Subspace) -> Subspace:
+    """Orthogonal complement of ``sub`` inside ``ambient``, both orthonormal:
+    the right singular vectors past ``sub.dim`` of one full SVD of the
+    coordinates C of ``sub`` in the basis of ``ambient``.  Raises
+    :class:`NotASubspaceError` when ``sub`` lies off ``ambient`` by more than
+    1e-9 (:func:`off_span`), and ArithmeticError when C has rank below ``sub.dim``.
     """
-    arows = _to_rows(np.asarray(ambient.basis, dtype=float))
-    if getattr(sub, "dim", 0) == 0:
-        return Subspace(np.array(ambient.basis, copy=True), ambient.dim)
-    srows = _to_rows(np.asarray(sub.basis, dtype=float))
-    overshoot = srows - (srows @ arows.T) @ arows
-    worst = float(np.linalg.norm(overshoot, axis=1).max())
+    worst = off_span(sub.basis, ambient.basis)
     if worst > 1e-9:
         raise NotASubspaceError(
             f"claimed subspace leaves the ambient space (residual {worst:.3e})"
         )
-    residual = arows - (arows @ srows.T) @ srows
-    out = orthonormalize(_from_rows(residual), rel_tol=0.0, abs_tol=1e-9)
-    expected = ambient.dim - sub.dim
-    if out.dim != expected:
-        raise ArithmeticError(
-            f"complement dimension {out.dim} != {ambient.dim} - {sub.dim}"
-        )
-    return out
+    arows = _to_rows(ambient.basis)
+    _, sing, vt = np.linalg.svd(_to_rows(sub.basis) @ arows.T)
+    rank = np.count_nonzero(sing > _RANK_RTOL * sing[:1])
+    if rank < sub.dim:
+        raise ArithmeticError(f"subspace of dimension {sub.dim} has rank {rank}")
+    return Subspace(_from_rows(vt[sub.dim:] @ arows), ambient.dim - sub.dim)
 
 
 def sym_eigen(s: np.ndarray, cluster_tol: float = 1e-6) -> list[tuple[float, int]]:

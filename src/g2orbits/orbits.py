@@ -56,7 +56,7 @@ g(t) itself only for :func:`verify_reflection`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,6 +69,7 @@ from .linalg import (
     bracket,
     expm,
     inner_g,
+    off_span,
     orthonormalize,  # noqa: F401  (a binding site perfbench's tracer self-test wraps)
     ranked_svd,
     sym_eigen,
@@ -97,13 +98,18 @@ class SingularOrbitError(RuntimeError):
         self.codimension = codimension
 
 
+#: A field of :class:`ActionSpec` derived from the record: not set, compared or hashed.
+_derived = partial(field, init=False, compare=False)
+
+
 @dataclass(frozen=True, kw_only=True)
 class ActionSpec(ActionRecord):
     """The record of one action type and everything derived from it.
 
     Only the record's fields are set by the constructor; every other field
     is derived from them by :meth:`__post_init__`, so ``dataclasses.replace``
-    of a record field yields a consistent spec and refuses a derived field.
+    of a record field yields a consistent spec and refuses a derived field,
+    and two specs are equal (and hash alike) when their records are.
     g(t) = exp(tX) is formed from X = ``geodesic_generator`` alone.  The
     fields ``ambient_rows`` to ``ad_section`` describe the ambient algebra in
     the orthonormal coordinates (under inner_g, basis e_a) in which frames
@@ -112,23 +118,23 @@ class ActionSpec(ActionRecord):
     of :func:`_references`.
     """
 
-    ambient: NamedSubalgebra = field(init=False)
-    h: NamedSubalgebra = field(init=False)
-    k: NamedSubalgebra = field(init=False)
-    geodesic_generator: np.ndarray = field(init=False)  # X, with X^3 = -X certified
-    section_generator: np.ndarray = field(init=False)
-    ambient_rows: np.ndarray = field(init=False)  # (d, 64), the e_a as rows
-    k_coords: np.ndarray = field(init=False)  # (k.dim, d), coordinates of the basis of k
-    k_perp: np.ndarray = field(init=False)  # (d - k.dim, d), orthonormal complement of k
-    unit_section: np.ndarray = field(init=False)  # (d,), the unit section generator xi
-    ad_section: np.ndarray = field(init=False)  # (d, d), [a, b] = <e_a, [e_b, xi]>
-    h_terms: np.ndarray = field(init=False, repr=False)  # (5, p, d), see __post_init__
-    h_terms_perp: np.ndarray = field(init=False, repr=False)  # (5, p, d - q)
-    normal_speed_sq: float = field(init=False)  # c^2
-    ricci: float = field(init=False)  # Ric(xi, xi)
-    singular_codims: tuple[int, ...] = field(init=False)  # k_s at each entry of singular_ts
-    minimal_t: float = field(init=False)
-    biharmonic_t: tuple[float, ...] = field(init=False)
+    ambient: NamedSubalgebra = _derived()
+    h: NamedSubalgebra = _derived()
+    k: NamedSubalgebra = _derived()
+    geodesic_generator: np.ndarray = _derived()  # X, with X^3 = -X certified
+    section_generator: np.ndarray = _derived()
+    ambient_rows: np.ndarray = _derived()  # (d, 64), the e_a as rows
+    k_coords: np.ndarray = _derived()  # (k.dim, d), coordinates of the basis of k
+    k_perp: np.ndarray = _derived()  # (d - k.dim, d), orthonormal complement of k
+    unit_section: np.ndarray = _derived()  # (d,), the unit section generator xi
+    ad_section: np.ndarray = _derived()  # (d, d), [a, b] = <e_a, [e_b, xi]>
+    h_terms: np.ndarray = _derived(repr=False)  # (5, p, d), see __post_init__
+    h_terms_perp: np.ndarray = _derived(repr=False)  # (5, p, d - q)
+    normal_speed_sq: float = _derived()  # c^2
+    ricci: float = _derived()  # Ric(xi, xi)
+    singular_codims: tuple[int, ...] = _derived()  # k_s at each entry of singular_ts
+    minimal_t: float = _derived()
+    biharmonic_t: tuple[float, ...] = _derived()
 
     def __post_init__(self):
         """Derive every field past the record's in one pass: the geometry, the
@@ -182,7 +188,7 @@ class ActionSpec(ActionRecord):
             [h, h @ x - x @ h, h @ x2 + x2 @ h - 2 * xhx, x2 @ h @ x - x @ h @ x2,
              x2 @ h @ x2 + xhx]
         ).reshape(-1, 8, 8)
-        residual = _outside(terms, ambient.basis)
+        residual = off_span(terms, ambient.basis)
         if residual > 2e-10:
             raise NotASubspaceError(
                 f"type {self.action_type}: Ad(g)^-1 h leaves the ambient algebra "
@@ -410,11 +416,10 @@ def shape_operator(
         frame = orbit_frame(spec, t)
     if abs(inner_g(normal, normal) - 1.0) > 1e-9:
         raise ValueError("normal vector is not unit length")
-    row = _to_rows(normal[None])[0]
-    coords = row @ spec.ambient_rows.T
-    outside = float(np.linalg.norm(row - coords @ spec.ambient_rows))
+    outside = off_span(normal[None], spec.ambient.basis)
     if outside > 1e-9:
         raise ValueError(f"normal leaves the ambient algebra (residual {outside:.3e})")
+    coords = _to_rows(normal[None])[0] @ spec.ambient_rows.T
     tangency = float(np.abs(frame.tangent_rows @ coords).max(initial=0.0))
     if tangency > 1e-9:
         raise ValueError(f"normal is not orthogonal to the tangent space ({tangency:.3e})")
@@ -520,8 +525,7 @@ def shape_norm_sq(spec: ActionSpec, t):
 def _report(spec: ActionSpec, t: float, s: np.ndarray, cluster_tol: float) -> SpectrumReport:
     """The spectrum report of the shape operator ``s`` at ``t``."""
     clusters = sym_eigen(s, cluster_tol=cluster_tol)
-    values = np.concatenate([[v] * m for v, m in clusters]) if clusters else np.zeros(0)
-    gaps = np.diff(np.sort(values))
+    gaps = np.diff([v for v, _ in clusters])
     ambiguous = bool(np.any((gaps > cluster_tol) & (gaps < 10.0 * cluster_tol)))
     return SpectrumReport(
         t=float(t),
@@ -558,12 +562,6 @@ def spectrum_reports(spec: ActionSpec, ts, cluster_tol: float = 1e-6) -> list[Sp
     ]
 
 
-def _outside(mats: np.ndarray, basis: np.ndarray) -> float:
-    """Largest norm_g of a matrix of ``mats`` off the span of the orthonormal ``basis``."""
-    rows, target = _to_rows(mats), _to_rows(basis)
-    return float(np.linalg.norm(rows - rows @ target.T @ target, axis=1).max())
-
-
 def verify_reflection(spec: ActionSpec) -> bool:
     """Certify that the isometry phi(x) = a x^eps b of the type's record
     (see :mod:`g2orbits.actions`) reflects the orbit through
@@ -594,9 +592,9 @@ def verify_reflection(spec: ActionSpec) -> bool:
     defects = (
         np.abs(np.stack([a @ a.T, b @ b.T]) - np.eye(8)).max(),
         np.abs(a @ (x0 if eps == 1 else x0.T) @ b - x0).max(),
-        _outside(a @ h_source.basis @ a.T, spec.h.basis),
-        _outside(b.T @ k_source.basis @ b, spec.k.basis),
-        _outside(images, spec.ambient.basis),
+        off_span(a @ h_source.basis @ a.T, spec.h.basis),
+        off_span(b.T @ k_source.basis @ b, spec.k.basis),
+        off_span(images, spec.ambient.basis),
         np.abs(spec.unit_section @ moved + spec.unit_section).max(),
         np.abs(vt[:dim] @ moved @ spec.unit_section).max(),
     )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    Subspace,
     bracket,
     expm,
     g_basis,
@@ -117,12 +118,10 @@ def gamma(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NamedSubalgebra:
+class NamedSubalgebra(Subspace):
     """A bracket-closed subalgebra with an orthonormal basis."""
 
     name: str
-    basis: np.ndarray  # shape (dim, 8, 8)
-    dim: int
 
 
 def _traceless(i: int) -> list[np.ndarray]:
@@ -173,7 +172,7 @@ def named_subalgebra(name: str) -> NamedSubalgebra:
     defect = bracket_closure_defect(sub)
     if defect > 1e-9:
         raise ArithmeticError(f"{name}: bracket closure defect {defect:.3e}")
-    out = NamedSubalgebra(name, sub.basis, sub.dim)
+    out = NamedSubalgebra(sub.basis, sub.dim, name)
     _SUBALGEBRA_CACHE[name] = out
     return out
 

@@ -92,6 +92,13 @@ class TestCompareSpectra:
                 )
                 assert compare_spectra(spec, float(t)) < 1e-8
 
+    def test_the_given_spec_supplies_the_closed_form(self):
+        spec = action_spec("II")
+        shifted = dataclasses.replace(
+            spec, spectrum=lambda t: [(v + 1.0, m) for v, m in spec.spectrum(t)]
+        )
+        assert abs(compare_spectra(shifted, 0.3) - 1.0) < 1e-8
+
     def test_oversized_cluster_tolerance_raises(self):
         with pytest.raises(StructuralMismatchError) as err:
             compare_spectra(action_spec("III"), 1.0, tol=5.0)

@@ -4,7 +4,8 @@ no private module-level name of the engine is left unread.
 No linter is part of the toolchain, so this walks the syntax tree of each
 module under src/g2orbits/ (the package's __init__.py re-exports names and
 is skipped), tests/ and demos/.  An import kept on purpose is marked
-``# noqa: F401`` on its line.  A module-level name of src/g2orbits/ that
+``# noqa: F401`` on its line; under src/ only the binding sites named in
+TRACER_BINDING_SITES may be.  A module-level name of src/g2orbits/ that
 starts with one underscore must be read somewhere under src/, tests/,
 demos/ or perfbench/, so that a helper a simplification leaves behind
 cannot stay.
@@ -22,20 +23,36 @@ MODULES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 READERS = ("src", "tests", "demos", "perfbench")
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by an import of ``source`` and never read, except on
-    lines marked ``# noqa: F401`` and in ``from __future__`` imports."""
-    tree = ast.parse(source)
+#: The marked imports under src/: binding sites kept only because
+#: perfbench's tracer self-test wraps them (ROADMAP item 2(a) frees them).
+TRACER_BINDING_SITES = {
+    "orbits.orthonormalize",
+    "classify.mean_curvature",
+    "classify.orbit_frame",
+    "classify.shape_norm_sq",
+}
+
+
+def bound_imports(source: str, marked: bool) -> dict[str, int]:
+    """Name -> line of each name an import of ``source`` binds, on lines
+    marked ``# noqa: F401`` or on the others, past ``from __future__``."""
     lines = source.splitlines()
     imported = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                if ("# noqa: F401" in lines[alias.lineno - 1]) == marked:
                     imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import of ``source`` and never read, except on
+    lines marked ``# noqa: F401`` and in ``from __future__`` imports."""
+    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    imported = bound_imports(source, marked=False)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -47,6 +64,22 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_detects_a_marked_import():
+    source = "import os  # noqa: F401\nfrom math import pi, tau  # noqa: F401\nimport sys\n"
+    assert bound_imports(source, marked=True) == {"os": 1, "pi": 2, "tau": 2}
+
+
+def test_only_the_tracer_binding_sites_are_marked():
+    # A new marked import fails here until it is named, so unused imports
+    # cannot pile up behind the marker.
+    marked = {
+        f"{module.stem}.{name}"
+        for module in PACKAGE.glob("*.py")
+        for name in bound_imports(module.read_text(), marked=True)
+    }
+    assert marked == TRACER_BINDING_SITES
 
 
 def private_definitions(source: str) -> list[str]:

@@ -6,12 +6,14 @@ import scipy.linalg
 
 from g2orbits.linalg import (
     NotASubspaceError,
+    Subspace,
     bracket,
     complement,
     expm,
     g_basis,
     inner_g,
     norm_g,
+    off_span,
     orthonormalize,
     span_coords,
     sym_eigen,
@@ -295,11 +297,31 @@ class TestComplement:
         with pytest.raises(NotASubspaceError):
             complement(stranger, ambient)
 
+    def test_dependent_basis_rows_are_refused(self):
+        ambient = orthonormalize([g_basis(2, 3), g_basis(4, 5)])
+        twice = Subspace(np.stack([g_basis(2, 3), g_basis(2, 3)]), 2)
+        with pytest.raises(ArithmeticError, match="rank 1"):
+            complement(twice, ambient)
+
     def test_dims_add(self, rng):
         ambient = orthonormalize([random_skew(rng) for _ in range(9)])
         sub = orthonormalize(list(ambient.basis[:4]))
         comp = complement(sub, ambient)
         assert sub.dim + comp.dim == ambient.dim
+
+
+class TestOffSpan:
+    def test_empty_stack_reads_zero(self):
+        assert off_span(np.zeros((0, 8, 8)), orthonormalize([g_basis(2, 3)]).basis) == 0.0
+
+    def test_largest_norm_g_distance_off_the_span(self, rng):
+        line = orthonormalize([g_basis(2, 3)]).basis
+        mats = np.stack([g_basis(2, 3), 3 * g_basis(2, 3) + 2 * g_basis(4, 5), g_basis(6, 7)])
+        assert abs(off_span(mats, line) - 2.0) < 1e-14
+        basis = orthonormalize([random_skew(rng) for _ in range(5)]).basis
+        mats = np.stack([random_skew(rng) for _ in range(3)])
+        residuals = mats - np.einsum("ni,iab->nab", span_coords(mats, basis), basis)
+        assert abs(off_span(mats, basis) - max(norm_g(r) for r in residuals)) < 1e-14
 
 
 class TestSymEigen:

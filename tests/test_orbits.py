@@ -162,6 +162,12 @@ class TestActionSpecs:
         settable = {f.name for f in dataclasses.fields(ActionSpec) if f.init}
         assert settable == {f.name for f in dataclasses.fields(ActionRecord)}
 
+    def test_equality_and_hash_are_those_of_the_record(self):
+        spec = action_spec("II")
+        copy = dataclasses.replace(spec)
+        assert spec == copy and hash(spec) == hash(copy)
+        assert spec != dataclasses.replace(spec, einstein_constant=9.0)
+
     def test_spec_carries_its_record(self):
         for ty in ALL_TYPES:
             spec = action_spec(ty)
