@@ -32,7 +32,7 @@ from g2orbits.classify import (
 )
 from g2orbits.orbits import action_spec, curvature_invariants, is_austere, shape_norm_sq
 
-from util import MEAN_CURVATURE, replaced, spectrum_moments
+from util import MEAN_CURVATURE, replaced, spectrum_moments, spy
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -179,12 +179,9 @@ class TestRootFinding:
         # its rows from the spec's coefficients, so g(t) is never formed.
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
-        frames, grids, geodesics = [], [], []
-        kernel, invariants, geodesic = orbits._frames, module.curvature_invariants, orbits._geodesic
-
-        def counted_frames(spec, ts):
-            frames.append(len(ts))
-            return kernel(spec, ts)
+        frames = spy(monkeypatch, orbits, "_principal_lifts", lambda spec, ts: len(ts))
+        geodesics = spy(monkeypatch, orbits, "_geodesic")
+        grids, invariants = [], module.curvature_invariants
 
         def counted_invariants(spec, t):
             before = len(frames)
@@ -192,12 +189,6 @@ class TestRootFinding:
             grids.append((np.shape(t), frames[before:]))
             return values
 
-        def counted_geodesic(spec, t):
-            geodesics.append(t)
-            return geodesic(spec, t)
-
-        monkeypatch.setattr(orbits, "_frames", counted_frames)
-        monkeypatch.setattr(orbits, "_geodesic", counted_geodesic)
         monkeypatch.setattr(module, "curvature_invariants", counted_invariants)
         for ty in ALL_TYPES:
             frames.clear()

@@ -14,6 +14,8 @@ from g2orbits.cli import main
 from g2orbits.classify import classify, principal_interval
 from g2orbits.orbits import action_spec, spectrum_report
 
+from util import spy
+
 
 def _values(text: str, key: str) -> list[str]:
     """The values of ``key`` in a text report, one per row."""
@@ -136,14 +138,7 @@ class TestScan:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_one_kernel_call_per_block(self, capsys, monkeypatch):
-        calls = []
-        frames = orbits._frames
-
-        def counted_frames(spec, ts):
-            calls.append(len(ts))
-            return frames(spec, ts)
-
-        monkeypatch.setattr(orbits, "_frames", counted_frames)
+        calls = spy(monkeypatch, orbits, "_principal_lifts", lambda spec, ts: len(ts))
         assert main(["scan", "--type", "IV", "--samples", "40", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert calls == [orbits.FRAME_BLOCK, 40 - orbits.FRAME_BLOCK]
@@ -202,14 +197,7 @@ class TestClassify:
 
 class TestTables:
     def test_one_frame_per_row(self, capsys, monkeypatch):
-        calls = []
-        frames = orbits._frames
-
-        def counted_frames(spec, ts):
-            calls.append(ts)
-            return frames(spec, ts)
-
-        monkeypatch.setattr(orbits, "_frames", counted_frames)
+        calls = spy(monkeypatch, orbits, "_principal_lifts")
         assert main(["tables", "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == len(calls) == 12
 

@@ -18,6 +18,7 @@ from g2orbits.orbits import (
     _frames,
     _generator_rows,
     _geodesic,
+    _principal_lifts,
     action_spec,
     curvature_invariants,
     is_austere,
@@ -32,7 +33,7 @@ from g2orbits.orbits import (
 )
 from g2orbits.triality import SIGMA, named_subalgebra
 
-from util import lift_generators, replaced, shape_oracle, spectrum_moments
+from util import lift_generators, replaced, shape_oracle, spectrum_moments, spy
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -513,32 +514,68 @@ class TestFrameKernel:
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
+        # The SVD kernel runs where an orbit may be singular (here for the
+        # spec's singular codimensions), on the rows of Ad(g)^-1 h off k
+        # only.  A classification and a principal report take no SVD: their
+        # tangent rows are the spec's fixed [K; W], and the K rows lift to -K.
         spec = action_spec(ty)
-        q = spec.k.dim
-        stacks, frames = [], []
-        svd, kernel = orbits.ranked_svd, orbits._frames
-
-        def spied_svd(rows, *args, **kwargs):
-            stacks.append(rows.shape)
-            return svd(rows, *args, **kwargs)
-
-        def spied_frames(spec, ts):
-            frames.append(kernel(spec, ts))
-            return frames[-1]
-
-        monkeypatch.setattr(orbits, "ranked_svd", spied_svd)
-        monkeypatch.setattr(orbits, "_frames", spied_frames)
+        q, d = spec.k.dim, spec.ambient.dim
+        stacks = spy(monkeypatch, orbits, "ranked_svd", lambda rows, **kwargs: rows.shape)
+        blocks = spy(monkeypatch, orbits, "_principal_lifts", lambda spec, ts: ts)
+        tangents = spy(monkeypatch, orbits, "_shapes", lambda tangent_ad, lifts, ts: tangent_ad)
+        dataclasses.replace(spec)
+        assert stacks == [(1, spec.h.dim, d - q)] * len(spec.singular_ts)
+        stacks.clear()
         classify_type.cache_clear()
         try:
             classify_type(ty)
         finally:
             classify_type.cache_clear()
-        assert stacks and len(stacks) == len(frames)
-        for (n, p, m), (vt, _, lifts, _) in zip(stacks, frames):
-            assert (p, m) == (spec.h.dim, spec.ambient.dim - q)
-            assert len(vt) == len(lifts) == n
-            assert (vt[:, :q] == spec.k_coords).all()
+        spectrum_report(spec, spec.minimal_t)
+        assert stacks == []
+        assert blocks and len(tangents) == len(blocks)
+        assert all(tangent_ad is spec.tangent_ad for tangent_ad in tangents)
+        tangent = spec.tangent_rows
+        assert (tangent[:q] == spec.k_coords).all()
+        assert np.abs(tangent @ tangent.T - np.eye(d - 1)).max() <= 1e-15
+        assert np.abs(tangent @ spec.unit_section).max() <= 1e-15
+        assert (spec.tangent_ad == tangent @ spec.ad_section).all()
+        for ts in blocks:
+            lifts, _ = _principal_lifts(spec, ts)
+            assert lifts.shape == (len(ts), d - 1, d)
             assert (lifts[:, :q] == -spec.k_coords).all()
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_principal_kernel_matches_the_svd_kernel(self, ty, rng):
+        # The fixed tangent rows with QR lifts against the SVD frames with
+        # the normal xi, at 40 random t and 20 geometric t from 1e-4 to 1e-2
+        # off each singular end; the worst are V's near its ends: 3.4e-13
+        # (|A|^2), 1.7e-13 (H) and 4.8e-13 (eigenvalues).
+        spec = action_spec(ty)
+        lo, _ = spec.t_range
+        ends = [s + (1 if s <= lo else -1) * np.geomspace(1e-4, 1e-2, 20) for s in spec.singular_ts]
+        ts = np.concatenate([rng.uniform(*principal_interval(spec), size=40), *ends])
+        principal = np.concatenate([shapes for _, shapes in orbits._shape_blocks(spec, ts)])
+        general = []
+        for start in range(0, len(ts), FRAME_BLOCK):
+            block = ts[start:start + FRAME_BLOCK]
+            vt, dim, lifts, _ = _frames(spec, block)
+            assert dim == spec.ambient.dim - 1
+            general.append(orbits._shapes(vt[:, :dim] @ spec.ad_section, lifts, block))
+        general = np.concatenate(general)
+        norm_sq = np.sum(general * general, axis=(1, 2))
+        assert np.all(np.abs(np.sum(principal * principal, axis=(1, 2)) - norm_sq) <= 1e-12 * norm_sq)
+        # H may vanish, so it is compared on the scale max(|H|, |A|)
+        mean = np.trace(general, axis1=1, axis2=2)
+        scale = np.maximum(np.abs(mean), np.sqrt(norm_sq))
+        assert np.all(np.abs(np.trace(principal, axis1=1, axis2=2) - mean) <= 1e-12 * scale)
+        values = np.linalg.eigvalsh(general)
+        defect = np.abs(np.linalg.eigvalsh(principal) - values).max(axis=1)
+        assert np.all(defect <= 1e-12 * np.abs(values).max(axis=1))
+        # the rank certificate accepts every t just outside the guard
+        for s in spec.singular_ts:
+            for t in (s - 1.01 * orbits.SINGULAR_GUARD, s + 1.01 * orbits.SINGULAR_GUARD):
+                spectrum_report(spec, t)  # SingularOrbitError if refused
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_rank_decisions_at_and_near_the_singular_ends(self, ty):
@@ -584,11 +621,11 @@ class TestFrameKernel:
         with pytest.raises(SingularOrbitError) as err:
             mean_curvature(spec, ts)
         assert err.value.codimension == 4
-        # a normal that is not orthogonal to the tangent space is refused,
-        # and the principal orbit is not reported as a singular one
-        tilted = dataclasses.replace(spec, section=(1, -1, 0))
-        with pytest.raises(ArithmeticError, match=r"not normal to the orbit at t=0\.3 \(max"):
-            mean_curvature(tilted, ts[:2])
+        # a section that is not normal to the orbits is refused when the
+        # spec is built, before any t is evaluated
+        tilted = r"^type II: the section generator is not normal to the orbits: max \|<xi, k_i>\| "
+        with pytest.raises(ValueError, match=tilted + r"\(defect 5\.000e-01\)$"):
+            dataclasses.replace(spec, section=(1, -1, 0))
 
     def test_memory_is_bounded_by_the_block(self):
         spec = action_spec("III")

@@ -43,6 +43,20 @@ def replaced(monkeypatch, spec, **changes):
     return dataclasses.replace(spec, **changes)
 
 
+def spy(monkeypatch, module, name, note=lambda *args, **kwargs: args):
+    """Wrap ``module.name`` for the rest of the test so that each call first
+    appends ``note(*args, **kwargs)`` to the returned list, then runs the
+    original."""
+    calls, original = [], getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(note(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
 def random_skew(rng, scale=1.0):
     m = rng.normal(size=(8, 8)) * scale
     return m - m.T
