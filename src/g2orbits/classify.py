@@ -18,12 +18,20 @@ repeats.  The geodesic generator X satisfies X^3 = -X, so g(t) = exp(tX)
 is 2 pi-periodic with entries linear in cos t and sin t, and weighted, both
 functions are trigonometric polynomials in t (of degree at most 4); the
 kernel's values outside the principal window are those of principal orbits
-of the same action, the analytic continuation of the window's.  One kernel
-pass serves both interpolants: one call of the frame kernel gives H and
-|A|^2 from the same shape operators at the 2n points t_m = pi (2m + 1) / 2n,
-m = 0 .. 2n - 1, of one period.  The even m are the n equispaced nodes and
-the odd m the midpoints; for even n no t_m is a multiple of pi/2, where the
-singular orbits of all four types lie.  The coefficients c_k, |k| <= n/2
+of the same action, the analytic continuation of the window's.  The
+interpolants sample the 2n points t_m = pi (2m + 1) / 2n, m = 0 .. 2n - 1,
+of one period.  The even m are the n equispaced nodes and the odd m the
+midpoints; for even n no t_m is a multiple of pi/2, where the singular
+orbits of all four types lie.  The orbit space of a hyperpolar action of
+cohomogeneity one is an interval, and every spec certifies the two
+isometries that fold the period onto it (see :class:`ActionSpec`): g(pi)
+normalises h, so H(t + pi) = H(t), and conjugation by sigma maps the orbit
+at t onto the one at -t with the normal reversed, so H(-t) = -H(t); |A|^2
+is even and pi-periodic.  As t_(m + n) = t_m + pi and t_(n - 1 - m) =
+pi - t_m, one call of the frame kernel at the n/2 points of the first
+quarter, in (0, pi/2), gives H and |A|^2 from the same shape operators for
+both interpolants, and the other points are filled by index (the weight is
+evaluated on the whole grid).  The coefficients c_k, |k| <= n/2
 (the Nyquist term split in half), come from the FFT of the node values.  An
 interpolant is accepted when its relative tail (largest |c_k| over
 |k| > n/4, over the largest |c_k|) is at most 1e-9 and its midpoint defect
@@ -133,14 +141,14 @@ FOURIER_FIRST_N = 16
 FOURIER_MAX_N = 64
 
 #: Acceptance of an interpolant: relative coefficient tail and midpoint
-#: defect.  Every type passes at n = 16, where they are at most 3.1e-15 and
-#: 8.8e-15 (the weighted functions have degree at most 4).
+#: defect.  Every type passes at n = 16, where they are at most 1.7e-15 and
+#: 5.2e-15 (the weighted functions have degree at most 4).
 FOURIER_TAIL_TOL = 1e-9
 FOURIER_DEFECT_TOL = 1e-8
 
 #: Coefficients at most this share of the largest are rounding and are
 #: dropped before the companion matrix is formed (keeping them all moves
-#: the roots by up to 8.7e-15; floors from 1e-14 to 1e-10 give the same
+#: the roots by up to 4.2e-15; floors from 1e-14 to 1e-10 give the same
 #: roots).
 FOURIER_FLOOR = 1e3 * np.finfo(float).eps
 
@@ -164,7 +172,8 @@ class RootDiagnostics:
     ``n`` is the number of Fourier nodes of the accepted interpolant,
     ``tail`` and ``defect`` the two quantities of its acceptance (see the
     module docstring), and ``evaluations`` the kernel evaluations
-    (parameters t) of all the interpolants tried.
+    (parameters t) of all the interpolants tried: n/2 for each n, the first
+    quarter of its 2n grid points, onto which the rest fold.
     """
 
     n: int
@@ -193,7 +202,7 @@ def _fourier_roots(
         # the others the midpoints.
         ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
         values = f(ts)
-        evaluations += len(ts)
+        evaluations += n // 2  # the kernel runs on the first quarter only
         k = np.arange(n // 2 + 1)
         rows = [row for row in range(len(names)) if row not in accepted]
         nodes, mids = values[rows, 0::2], values[rows, 1::2]
@@ -243,11 +252,20 @@ def _fourier_roots(
 
 def _classification_roots(spec: ActionSpec):
     """``find_minimal(spec), find_biharmonic(spec)`` from one Fourier pass
-    that evaluates f_H and f_A on the same shape operators, and the minimal
-    spectrum report (one frame block also gives the H of the |H| filter)."""
+    that evaluates f_H and f_A on the same shape operators, at the first
+    quarter of the grid (see the module docstring), and the minimal spectrum
+    report (one frame block also gives the H of the |H| filter)."""
     def weighted(ts):
-        (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
-        return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
+        # t_(m + n) = t_m + pi and t_(n - 1 - m) = pi - t_m on the grid of
+        # _fourier_roots, so the kernel runs on its first quarter m < n/2
+        # and the rest is filled by index: H(t + pi) = H(t), H(-t) = -H(t),
+        # and |A|^2 is even and pi-periodic (certified by the spec).
+        n = len(ts) // 2
+        m = np.arange(2 * n) % n
+        mirrored = m >= n // 2
+        h, norm_sq = curvature_invariants(spec, ts[:n // 2])[:, np.where(mirrored, n - 1 - m, m)]
+        w = singular_weight(spec, ts)
+        return np.stack([w * np.where(mirrored, -h, h), w**2 * (norm_sq - spec.einstein_constant)])
 
     (minimal, h_diag), (roots, a_diag) = _fourier_roots(
         spec, weighted, ("w H", "w^2 (|A|^2 - lambda)")

@@ -63,8 +63,12 @@ X^3 = -X (so the closed form of g(t) and the five coefficient blocks are
 exact), an orthonormal basis [K; K_perp] of the ambient algebra,
 Ad(g(t))^{-1} h inside the ambient algebra and orthogonal to xi at every
 t, certified on the five coefficient blocks rather than on samples of t,
-and K xi = 0.  :func:`_geodesic` forms
-g(t) itself only for :func:`verify_reflection`.
+and K xi = 0; and what the classification's root finder assumes of the
+orbit space: g(pi) normalises h, and the order-two automorphism sigma
+(``triality.SIGMA``) maps the ambient algebra, h and k into themselves and
+reverses X and xi, so t -> t + pi and t -> -t are isometries between
+orbits.  :func:`_geodesic` forms g(t) itself only for
+:func:`verify_reflection`.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ from .linalg import (
     sym_eigen,
     v_elem,
 )
-from .triality import NamedSubalgebra, named_subalgebra
+from .triality import SIGMA, NamedSubalgebra, named_subalgebra
 
 ACTION_TYPES = tuple(ACTIONS)
 
@@ -130,7 +134,10 @@ class ActionSpec(ActionRecord):
     are computed, ``tangent_rows`` and ``tangent_ad`` are the fixed tangent
     rows of the principal orbits, ``h_terms`` to ``h_terms_w`` are the
     coefficients of the kernels' rows, and the last five hold the facts and
-    references of :func:`_references`.
+    references of :func:`_references`.  A spec is built only when the two
+    isometries of its orbit space hold (see :meth:`__post_init__`): the
+    orbits at t and t + pi have the same shape operators in the fixed
+    frame, and those at t and -t have negated spectra.
     """
 
     ambient: NamedSubalgebra = _derived()
@@ -177,6 +184,17 @@ class ActionSpec(ActionRecord):
         the ambient coordinates of the M_j, (5, p, d), ``h_terms_perp`` those
         times K_perp^T, (5, p, d - q), and ``h_terms_w`` those times W^T,
         (5, p, d - q - 1).
+
+        Two certificates fold the period of t onto the orbit space, which
+        :func:`g2orbits.classify.classify` samples on its first quarter only.
+        (a) g(pi) = I + 2 X^2 normalises h; then Ad(g(t + pi))^{-1} h =
+        Ad(g(t))^{-1} h, so the lifts and the shape operators at t and t + pi
+        agree.  (b) sigma = ``triality.SIGMA`` is orthogonal, Ad(sigma) maps
+        the ambient algebra, h and k into themselves, Ad(sigma) X = -X and
+        Ad(sigma) xi = -xi; then conjugation by sigma maps the orbit through
+        g(t) onto the one through g(-t) and reverses xi, so H(-t) = -H(t)
+        and |A|^2 is even.  Each identity must hold to 1e-12, else
+        ValueError names it and its defect.
         """
 
         def derive(**values):
@@ -221,11 +239,18 @@ class ActionSpec(ActionRecord):
                 f"(residual {residual:.3e} over the five coefficients M_j)"
             )
         coords = (_to_rows(terms) @ rows.T).reshape(5, len(h), -1)
+        g_pi = np.eye(8) + 2 * x2
         certify(
             ("the section generator is not normal to the orbits: max |<xi, k_i>|",
              np.abs(k_coords @ unit_section).max()),
             ("the section generator is not normal to the orbits: max |<xi, M_j>|",
              np.abs(coords @ unit_section).max()),
+            ("g(pi) = I + 2 X^2 does not normalise h", off_span(g_pi @ h @ g_pi.T, h)),
+            ("sigma is not orthogonal", np.abs(SIGMA @ SIGMA.T - np.eye(8)).max()),
+            *((f"Ad(sigma) does not map {sub.name} into itself",
+               off_span(SIGMA @ sub.basis @ SIGMA.T, sub.basis)) for sub in (ambient, self.h, k)),
+            ("Ad(sigma) X = -X fails", np.abs(SIGMA @ x @ SIGMA.T + x).max()),
+            ("Ad(sigma) xi = -xi fails", np.abs(SIGMA @ section @ SIGMA.T + section).max()),
         )
         w = np.linalg.svd(np.concatenate([k_coords, unit_section[None]]))[2][k.dim + 1:]
         tangent = np.concatenate([k_coords, w])

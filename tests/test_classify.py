@@ -172,9 +172,11 @@ class TestRootFinding:
             assert len(classify_type(ty).biharmonic_t) == counts[ty]
 
     def test_grid_is_one_call(self, monkeypatch):
-        # One kernel pass per type: the 2n = 32 nodes and midpoints reach
-        # curvature_invariants as one array call of one block, then one
-        # block for the minimal spectrum and the |H| filter; the orbit
+        # One kernel pass per type: the first quarter of the 2n = 32 nodes
+        # and midpoints, onto which the certified isometries t -> t + pi and
+        # t -> -t fold the rest, reaches curvature_invariants as one array
+        # call of one block, then one block for the minimal spectrum and
+        # the |H| filter; the orbit
         # dimensions at the window ends come from the spec.  The kernel takes
         # its rows from the spec's coefficients, so g(t) is never formed.
         orbits = importlib.import_module("g2orbits.orbits")
@@ -195,8 +197,8 @@ class TestRootFinding:
             grids.clear()
             classify_type.__wrapped__(ty)  # uncached
             roots = len(classify_type(ty).biharmonic_t)
-            assert frames == [2 * FOURIER_FIRST_N, 1 + roots], (ty, frames)
-            assert grids == [((2 * FOURIER_FIRST_N,), [2 * FOURIER_FIRST_N])], (ty, grids)
+            assert frames == [FOURIER_FIRST_N // 2, 1 + roots], (ty, frames)
+            assert grids == [((FOURIER_FIRST_N // 2,), [FOURIER_FIRST_N // 2])], (ty, grids)
             assert geodesics == [], ty
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
@@ -235,23 +237,25 @@ class TestRootFinding:
             assert find_biharmonic(spec) == (list(res.biharmonic_t), biharmonic_diag)
 
     def test_each_function_keeps_its_first_accepted_interpolant(self, monkeypatch):
-        # A 1e-6 cos(3 t) term in |A|^2 gives f_A = w^2 (|A|^2 - lambda)
-        # degree 7, above the n/4 = 4 that 16 nodes resolve, so n doubles
-        # for f_A alone; f_H keeps its n = 16 interpolant.
+        # A 1e-6 cos(2 t) term in |A|^2, even and pi-periodic as the folded
+        # grid requires of a function of the orbit, gives
+        # f_A = w^2 (|A|^2 - lambda) degree 6, above the n/4 = 4 that 16
+        # nodes resolve, so n doubles for f_A alone; f_H keeps its n = 16
+        # interpolant.
         module = importlib.import_module("g2orbits.classify")
         exact = module.curvature_invariants
         unperturbed = classify_type("II").root_diagnostics[0][1]
 
         def wiggled(spec, t):
             values = exact(spec, t)
-            values[1] += 1e-6 * np.cos(3.0 * t)
+            values[1] += 1e-6 * np.cos(2.0 * t)
             return values
 
         monkeypatch.setattr(module, "curvature_invariants", wiggled)
         (_, minimal_diag), (_, biharmonic_diag) = classify(action_spec("II")).root_diagnostics
         assert minimal_diag == unperturbed
-        assert (minimal_diag.n, minimal_diag.evaluations) == (16, 32)
-        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (32, 32 + 64)
+        assert (minimal_diag.n, minimal_diag.evaluations) == (16, 8)
+        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (32, 8 + 16)
         assert biharmonic_diag.tail <= 1e-9 and biharmonic_diag.defect <= 1e-8
 
     def test_classify_reads_the_given_spec(self):
@@ -388,8 +392,9 @@ class TestRootFinding:
             diagnostics = classify_type(ty).root_diagnostics
             assert [name for name, _ in diagnostics] == ["f_H", "f_A"]
             for _, diag in diagnostics:
-                # One interpolant of 16 nodes and 16 midpoints resolves each.
-                assert (diag.n, diag.evaluations) == (16, 32)
+                # One interpolant of 16 nodes and 16 midpoints resolves
+                # each, from the kernel at the 8 of them in (0, pi/2).
+                assert (diag.n, diag.evaluations) == (16, 8)
                 assert diag.tail <= 1e-9 and diag.defect <= 1e-8
 
     def test_result_is_a_plain_value(self):

@@ -504,8 +504,8 @@ class TestFrameKernel:
     def test_relative_error_near_the_singular_end_is_at_most_half_eps_over_t(self, ty):
         # cond(R) grows like 1/t next to the singular orbit at t = 0, so
         # eps / t is the size of the rounding the frames can reach there.
-        # Over 3000 geometric t in [1e-4, 1e-2] the worst ratio is 0.35
-        # (V); over these 60 it is 0.29 (V, |A|^2), 0.21 for III.
+        # Over 3000 geometric t in [1e-4, 1e-2] the worst ratio is 0.17
+        # (V); over these 60 it is 0.14 (V, |A|^2), 0.09 for III.
         ts = np.geomspace(1e-4, 1e-2, 60)
         engine = curvature_invariants(action_spec(ty), ts)
         for value, closed in zip(engine, spectrum_moments(action_record(ty), ts)):
@@ -725,6 +725,47 @@ class TestReflections:
     )
     def test_a_wrong_isometry_fails(self, ty, changes, monkeypatch):
         assert not verify_reflection(replaced(monkeypatch, action_spec(ty), **changes))
+
+
+class TestOrbitSpaceIsometries:
+    # Every spec certifies that g(pi) normalises h (so the orbits at t and
+    # t + pi have the same shape operators in the fixed frame) and that
+    # conjugation by sigma reverses X and xi (so it maps the orbit at t onto
+    # the one at -t with the normal reversed).  Checked on the kernel at
+    # both parameters, without the classification's folded grid.
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_invariants_are_pi_periodic_and_h_is_odd(self, ty, rng):
+        spec = action_spec(ty)
+        ts = rng.uniform(0.0, np.pi / 2, 20)
+        h, norm_sq = curvature_invariants(spec, ts)
+        for moved, sign in [(ts + np.pi, 1.0), (-ts, -1.0)]:
+            moved_h, moved_norm_sq = curvature_invariants(spec, moved)
+            assert moved_h == pytest.approx(sign * h, rel=1e-12)
+            assert moved_norm_sq == pytest.approx(norm_sq, rel=1e-12)
+
+    def test_type_iv_spectrum_is_negated_across_the_middle_of_its_window(self, rng):
+        spec = action_spec("IV")
+        for t in rng.uniform(0.0, np.pi / 2, 20):
+            here = spectrum_report(spec, t).curvatures
+            mirrored = spectrum_report(spec, np.pi - t).curvatures
+            assert [m for _, m in mirrored] == [m for _, m in reversed(here)]
+            scale = max(abs(v) for v, _ in here)
+            expected = [-v for v, _ in reversed(here)]
+            assert [v for v, _ in mirrored] == pytest.approx(expected, rel=0, abs=1e-12 * scale)
+
+    def test_a_geodesic_whose_half_period_moves_h_is_refused(self):
+        # su3 as type IV's h passes every other check, but g(pi) does not
+        # normalise it.
+        message = r"^type IV: g\(pi\) = I \+ 2 X\^2 does not normalise h \(defect 1\.000e\+00\)$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(action_spec("IV"), h_name="su3")
+
+    def test_a_sigma_that_keeps_the_geodesic_is_refused(self, monkeypatch):
+        # sigma = I maps every algebra into itself but fixes X.
+        monkeypatch.setattr(orbits, "SIGMA", np.eye(8))
+        message = r"^type II: Ad\(sigma\) X = -X fails \(defect 2\.000e\+00\)$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(action_spec("II"))
 
 
 class TestSingularOrbits:
