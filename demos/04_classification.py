@@ -1,14 +1,14 @@
 """Tour of the classification layer: minimal, austere, biharmonic orbits.
 
 Run:  python demos/04_classification.py   (well under a second: one
-trigonometric interpolant over one period per root function and type)
+Chebyshev series in cos t per root function and type)
 """
 
 from g2orbits import action_spec, classify, verify_reflection
 
-print("Classifying the four actions (trigonometric interpolants of the weighted mean")
-print("curvature and |shape|^2 over one period, roots from the companion matrix")
-print("of z^D p(z))...")
+print("Classifying the four actions (Chebyshev series in cos t of the weighted mean")
+print("curvature and |shape|^2 from 16 nodes in (0, pi), roots in closed form from")
+print("a quadratic in cos 2t)...")
 print()
 results = {}
 for ty in ("II", "III", "IV", "V"):
@@ -31,7 +31,7 @@ for ty in ("II", "III", "IV", "V"):
         print(f"  note: {note}")
     for name, diag in res.root_diagnostics:
         print(f"  root finder {name}       n = {diag.n}, tail {diag.tail:.1e}, "
-              f"midpoint defect {diag.defect:.1e}, {diag.evaluations} evaluations")
+              f"parity defect {diag.defect:.1e}, {diag.evaluations} evaluations")
     print()
 
 print("Summary of austere verdicts at the minimal orbit:")

@@ -55,11 +55,11 @@ def _spectrum_ii(t: float) -> list[tuple[float, int]]:
 
 def _note_v(biharmonic: tuple[float, ...]) -> str:
     targets = ((16 - np.sqrt(211.0)) / 3, (16 + np.sqrt(211.0)) / 3)
-    residuals = [abs(np.tan(r) ** 2 - target) for r, target in zip(biharmonic, targets)]
+    residuals = [f"{abs(np.tan(r) ** 2 - target):.2e}" for r, target in zip(biharmonic, targets)]
     unsquared = [float(np.arctan(target)) for target in targets]
     return (
         "type V biharmonic parameters satisfy tan(t)^2 = (16 -/+ sqrt(211))/3 "
-        f"(residuals {residuals[0]:.2e}, {residuals[1]:.2e}); the unsquared "
+        f"(residuals {', '.join(residuals)}); the unsquared "
         f"reading tan(t) = (16 -/+ sqrt(211))/3 would give t = "
         f"{unsquared[0]:.12f}, {unsquared[1]:.12f} and is inconsistent with "
         "|shape|^2 = 10 there"

@@ -10,51 +10,50 @@ distinguished parameters:
     norm of the shape operator equals lambda = -B(xi, xi) = 4 Ric(xi, xi)
     in inner_g (8 on G2, 10 on SO(7); see ROADMAP item 1).
 
-The roots come from one trigonometric interpolant per function.  H and
-|A|^2 blow up at the singular parameters, so the functions interpolated are
-f_H = w H and f_A = w^2 (|A|^2 - lambda), with the weight
-w(t) = prod sin(t - s) over the singular parameters s taken mod pi without
-repeats.  The geodesic generator X satisfies X^3 = -X, so g(t) = exp(tX)
-is 2 pi-periodic with entries linear in cos t and sin t, and weighted, both
-functions are trigonometric polynomials in t (of degree at most 4); the
-kernel's values outside the principal window are those of principal orbits
-of the same action, the analytic continuation of the window's.  The
-interpolants sample the 2n points t_m = pi (2m + 1) / 2n, m = 0 .. 2n - 1,
-of one period.  The even m are the n equispaced nodes and the odd m the
-midpoints; for even n no t_m is a multiple of pi/2, where the singular
-orbits of all four types lie.  The orbit space of a hyperpolar action of
-cohomogeneity one is an interval, and every spec certifies the two
-isometries that fold the period onto it (see :class:`ActionSpec`): g(pi)
-normalises h, so H(t + pi) = H(t), and conjugation by sigma maps the orbit
-at t onto the one at -t with the normal reversed, so H(-t) = -H(t); |A|^2
-is even and pi-periodic.  As t_(m + n) = t_m + pi and t_(n - 1 - m) =
-pi - t_m, one call of the frame kernel at the n/2 points of the first
-quarter, in (0, pi/2), gives H and |A|^2 from the same shape operators for
-both interpolants, and the other points are filled by index (the weight is
-evaluated on the whole grid).  The coefficients c_k, |k| <= n/2
-(the Nyquist term split in half), come from the FFT of the node values.  An
-interpolant is accepted when its relative tail (largest |c_k| over
-|k| > n/4, over the largest |c_k|) is at most 1e-9 and its midpoint defect
-(largest |f - p| at the midpoints over the largest |f| at the nodes) is at
-most 1e-8.  Each function keeps the first interpolant it accepts; n doubles
-from 16 while one has none, and past 64 :class:`NoRootError` is raised.
-With the coefficients at the rounding floor dropped, p has degree D and the
-eigenvalues z of the companion matrix of the polynomial z^D p(z)
-(``numpy.roots``) on the unit circle are its real roots t = arg z.  The
-rows not yet accepted at an n share one FFT, so each function's roots and
-tail are those of a pass over it alone, bit for bit.  Those that fall in
-the window clipped 1e-4 away from singular endpoints, where the closed
-forms blow up, are the roots found, and a root on a principal endpoint
-(type III) is clipped onto it; an eigenvalue near the circle but off it,
-or two close together (a double root or a close pair of roots, which
-cannot be counted), raises :class:`NoRootError`.  At n = 16 these
-roots are within 1.6e-15 of the closed forms, so they are not polished
-(Boyd, J. Eng. Math. 56 (2006), on roots of trigonometric polynomials from
-the companion matrix).
+The roots come from one Chebyshev series per function.  H and |A|^2 blow up
+at the singular parameters, so the functions expanded are f_H = w H and
+f_A = w^2 (|A|^2 - lambda), with the weight w(t) = prod sin(t - s) over the
+singular parameters s taken mod pi without repeats.  The geodesic generator
+X satisfies X^3 = -X, so g(t) = exp(tX) has entries linear in cos t and
+sin t, and the kernel's values outside the principal window are those of
+principal orbits of the same action, the analytic continuation of the
+window's.  The orbit space of a hyperpolar action of cohomogeneity one is
+an interval, and every spec certifies the two isometries that fold the
+period onto it (see :class:`ActionSpec`): g(pi) normalises h, so
+H(t + pi) = H(t), and conjugation by sigma maps the orbit at t onto the one
+at -t with the normal reversed, so H(-t) = -H(t); |A|^2 is even and
+pi-periodic.  Both functions are therefore even in t: series
+sum c_k T_k(cos t) = sum c_k cos(k t) in y = cos t, of degree at most 4 and
+of one parity (the weight fixes which).  One call of the frame kernel at the
+8 Chebyshev-Gauss nodes t_m = pi (2m + 1) / 32 in (0, pi/2) gives H and
+|A|^2 there, and H(pi - t) = -H(t), |A|^2(pi - t) = |A|^2(t) give them at
+the other 8 nodes of (0, pi) (the weight is evaluated at all 16).  One
+constant 16 x 16 DCT takes the 16 values of both functions to their c_k,
+k < 16.  A function is accepted when its relative tail (largest |c_k| over
+k > 4, over the largest |c_k|) and its parity defect (the largest of
+c_0 .. c_4 of the other parity, over the largest |c_k|) are both at most
+1e-9; otherwise :class:`NoRootError` names the function and the failed
+check.  With z = cos 2t = T_2(y), an even series is the quadratic
+(c_0 - c_4) + c_2 z + 2 c_4 z^2 and an odd one is y ((c_1 - c_3) + 2 c_3 z),
+whose root y = 0 is t = pi/2.  The quadratic is solved in closed form
+without cancellation; each root z in [-1, 1] is the pair t = arccos(z) / 2
+and pi - t, a z within 1e-9 of -1 or 1 the single t = pi/2 or 0 (a simple
+root in z there is a root of even order in t, fixed by the reflection), and
+their copies mod pi that fall in the window clipped 1e-4 away from singular
+endpoints, where the closed forms blow up, are the roots found; a root on a
+principal endpoint (type III) is clipped onto it.  A root z near [-1, 1]
+but off it (a near-zero discriminant), or two roots less than 1e-3 apart in
+t (a double root or a close pair, which cannot be counted), raises
+:class:`NoRootError`.  The roots of the four types are within 2e-15 of the
+closed forms, so they are not polished (a root d away from 0 or pi/2, where
+z is flat in t, moves by up to about 12 eps / d; Boyd, J. Eng. Math. 56
+(2006), on rootfinding in the Chebyshev basis).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,8 +75,8 @@ from .orbits import (
 
 
 class NoRootError(RuntimeError):
-    """No root, not the expected number of roots, or no interpolant that
-    resolves the root function."""
+    """No root, not the expected number of roots, or a root function that
+    fails its certificates."""
 
 
 class StructuralMismatchError(ValueError):
@@ -135,33 +134,29 @@ REFERENCE_BIHARMONIC_T = {ty: s.biharmonic_t for ty, s in _SPECS.items()}
 #: the row.
 PARAMETER_TOLERANCE = 1e-8
 
-#: Fourier nodes over one period of the first interpolant, and the most the
-#: root finder tries before it gives up.
-FOURIER_FIRST_N = 16
-FOURIER_MAX_N = 64
+#: The Chebyshev-Gauss nodes t_m = pi (2m + 1) / 32 of (0, pi), and the DCT
+#: that takes values there to the coefficients c_0 .. c_15 of the series
+#: sum c_k cos(k t) that interpolates them.
+CHEB_N = 16
+CHEB_NODES = np.pi * np.arange(1, 2 * CHEB_N, 2) / (2 * CHEB_N)
+_DCT = 2.0 / CHEB_N * np.cos(np.outer(np.arange(CHEB_N), CHEB_NODES))
+_DCT[0] /= 2.0
 
-#: Acceptance of an interpolant: relative coefficient tail and midpoint
-#: defect.  Every type passes at n = 16, where they are at most 1.7e-15 and
-#: 5.2e-15 (the weighted functions have degree at most 4).
-FOURIER_TAIL_TOL = 1e-9
-FOURIER_DEFECT_TOL = 1e-8
+#: Acceptance of a series: its relative tail beyond degree 4 and its parity
+#: defect are each at most this.  Every type passes with both at most 2.1e-15.
+SERIES_TOL = 1e-9
 
-#: Coefficients at most this share of the largest are rounding and are
-#: dropped before the companion matrix is formed (keeping them all moves
-#: the roots by up to 4.2e-15; floors from 1e-14 to 1e-10 give the same
-#: roots).
-FOURIER_FLOOR = 1e3 * np.finfo(float).eps
-
-#: Companion eigenvalues z with ||z| - 1| at most this are the real roots
-#: t = arg z; roots this close to a window end are clipped onto it.
+#: Roots z within this of [-1, 1] are real, and those within it of -1 or 1
+#: the single t = pi/2 or 0; roots t this close to a window end are clipped
+#: onto it.
 UNIT_TOL = 1e-9
 END_TOL = 1e-9
 
-#: A companion eigenvalue with UNIT_TOL < ||z| - 1| <= this, or with
-#: ||z| - 1| <= this and another such eigenvalue at most this far away, is
-#: a double root or a close pair and raises (the rounding splits a double
-#: root into a pair about 1e-8 apart, in any direction).  Every root of the
-#: four types is on the unit circle, at least 0.5 from any other.
+#: A root z with UNIT_TOL < distance from [-1, 1] <= this (a near-zero
+#: discriminant, or a root just past -1 or 1), or two roots
+#: t = arccos(z) / 2 (and pi/2 of an odd series) at most this apart, is a
+#: double root or a close pair and raises.  Every root of the four types is
+#: at least 0.5 from any other.
 NEAR_UNIT_TOL = 1e-3
 
 
@@ -169,17 +164,18 @@ NEAR_UNIT_TOL = 1e-3
 class RootDiagnostics:
     """How the roots of one weighted function were found.
 
-    ``n`` is the number of Fourier nodes of the accepted interpolant,
-    ``tail`` and ``defect`` the two quantities of its acceptance (see the
-    module docstring), and ``evaluations`` the kernel evaluations
-    (parameters t) of all the interpolants tried: n/2 for each n, the first
-    quarter of its 2n grid points, onto which the rest fold.
+    ``n`` is the number of Chebyshev nodes, ``tail`` and ``defect`` the
+    relative tail beyond degree 4 and the parity defect of its acceptance
+    (see the module docstring), ``evaluations`` the kernel evaluations
+    (parameters t), at the nodes in (0, pi/2) onto which the rest fold, and
+    ``coefficients`` the certified c_0 .. c_4 of sum c_k T_k(cos t).
     """
 
     n: int
     tail: float
     defect: float
     evaluations: int
+    coefficients: tuple[float, ...]
 
 
 def singular_weight(spec: ActionSpec, t):
@@ -189,86 +185,79 @@ def singular_weight(spec: ActionSpec, t):
     return np.prod([np.sin(t - s) for s in shifts], axis=0)
 
 
-def _fourier_roots(
-    spec: ActionSpec, f, names: tuple[str, ...]
+def _quadratic_roots(a2: float, a1: float, a0: float) -> list[complex]:
+    """The roots of a2 z^2 + a1 z + a0 (one if a2 = 0, none if also
+    a1 = 0), from the quadratic formula without cancellation."""
+    root = cmath.sqrt(a1 * a1 - 4.0 * a2 * a0)
+    q = -0.5 * (a1 + root if a1 >= 0.0 else a1 - root)
+    if not q:
+        return [0j, 0j] if a2 else []
+    return [a0 / q, q / a2] if a2 else [a0 / q]
+
+
+def _chebyshev_roots(
+    spec: ActionSpec, values: np.ndarray, names: tuple[str, ...]
 ) -> list[tuple[list[float], RootDiagnostics]]:
     """The roots in the principal window of each function of ``names`` and
-    how they were found, from the trigonometric interpolant over one period
-    of its row of ``f`` (t -> stack of the functions); see the module
-    docstring."""
-    n, evaluations, accepted = FOURIER_FIRST_N, 0, {}
-    while len(accepted) < len(names):
-        # Odd multiples of pi / 2n: the even-numbered ones are the nodes,
-        # the others the midpoints.
-        ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
-        values = f(ts)
-        evaluations += n // 2  # the kernel runs on the first quarter only
-        k = np.arange(n // 2 + 1)
-        rows = [row for row in range(len(names)) if row not in accepted]
-        nodes, mids = values[rows, 0::2], values[rows, 1::2]
-        # c_k for k >= 0 (c_-k is its conjugate); the nodes start at ts[0],
-        # and the Nyquist term is split between k = +-n/2.
-        coeffs = np.fft.rfft(nodes, axis=-1) * np.exp(-1j * k * ts[0]) / n
-        coeffs[:, -1] /= 2.0
-        sizes = np.abs(coeffs).max(axis=1)
-        tails = np.abs(coeffs[:, n // 4 + 1:]).max(axis=1) / sizes
-        basis = np.exp(1j * np.outer(ts[1::2], k))
-        interpolated = 2.0 * (coeffs[:, None] * basis).sum(axis=-1).real - coeffs[:, :1].real
-        defects = np.abs(interpolated - mids).max(axis=1) / np.abs(nodes).max(axis=1)
-        for row, c, size, tail, defect in zip(rows, coeffs, sizes, tails, defects):
-            if tail <= FOURIER_TAIL_TOL and defect <= FOURIER_DEFECT_TOL:
-                c[np.abs(c) <= FOURIER_FLOOR * size] = 0.0
-                accepted[row] = c, RootDiagnostics(n, float(tail), float(defect), evaluations)
-            elif n >= FOURIER_MAX_N:
-                raise NoRootError(
-                    f"type {spec.action_type}: {names[row]} is not resolved by {n} Fourier "
-                    f"nodes (tail {tail:.1e}, midpoint defect {defect:.1e})"
-                )
-        n *= 2
-
+    how they were found, from its row of ``values`` at :data:`CHEB_NODES`;
+    see the module docstring."""
     lo, hi = principal_interval(spec)
     found = []
-    for row, name in enumerate(names):
-        coeffs, diag = accepted[row]
-        degree = int(np.nonzero(coeffs)[0].max())
-        # z^D p(z) = sum c_k z^(k + D), highest power first: c_D .. c_-D.
-        z = np.roots(np.concatenate([coeffs[degree::-1], np.conj(coeffs[1:degree + 1])]))
-        off = np.abs(np.abs(z) - 1.0)
-        # each t + 2 pi j in the period that starts END_TOL below the window;
-        # on the window (give or take END_TOL) if any copy is
-        copies = lo - END_TOL + np.mod(np.angle(z) - lo + END_TOL, 2.0 * np.pi)
-        near = off <= NEAR_UNIT_TOL
-        crowded = (np.abs(z[near, None] - z[near]) <= NEAR_UNIT_TOL).sum(axis=1) > 1
-        doubtful = copies[near][crowded | (off[near] > UNIT_TOL)]
-        if len(doubtful):
+    # one product, summed per row: a row's c_k do not depend on the others
+    for name, c in zip(names, (values[:, None, :] * _DCT).sum(axis=-1).tolist()):
+        size = max(map(abs, c))
+        even, odd = max(map(abs, c[0:5:2])), max(map(abs, c[1:5:2]))
+        tail, defect = max(map(abs, c[5:])) / size, min(even, odd) / size
+        for check, value in (("tail beyond degree 4", tail), ("parity defect", defect)):
+            if not value <= SERIES_TOL:
+                raise NoRootError(f"type {spec.action_type}: {name}: {check} {value:.1e}")
+        c0, c1, c2, c3, c4 = c[:5]
+        if even > odd:  # (c0 - c4) + c2 z + 2 c4 z^2 in z = cos 2t
+            zs, reps = _quadratic_roots(2.0 * c4, c2, c0 - c4), []
+        else:  # y ((c1 - c3) + 2 c3 z), and y = cos t = 0 at pi/2
+            zs, reps = _quadratic_roots(0.0, 2.0 * c3, c1 - c3), [np.pi / 2]
+        doubtful = []
+        for z in zs:
+            # one t = arccos(z) / 2 in [0, pi/2] per root z, with t and pi - t
+            # both roots; off is the distance of z from [-1, 1]
+            off = abs(complex(max(abs(z.real) - 1.0, 0.0), z.imag))
+            x = min(max(z.real, -1.0), 1.0)
+            t = 0.5 * math.acos(x) if abs(x) < 1.0 - UNIT_TOL else 0.0 if x > 0.0 else np.pi / 2
+            if off <= UNIT_TOL:
+                reps.append(t)
+            elif off <= NEAR_UNIT_TOL:
+                doubtful.append(t)
+        reps.sort()
+        doubtful += [a for a, b in zip(reps, reps[1:]) if b - a <= NEAR_UNIT_TOL]
+        if doubtful:
             raise NoRootError(
-                f"type {spec.action_type}: {name}: double root near t={doubtful[0]:.6g}"
+                f"type {spec.action_type}: {name}: double root near t=+-{doubtful[0]:.6g} mod pi"
             )
-        t = copies[(off <= UNIT_TOL) & (copies <= hi + END_TOL)]
-        t = np.where(t <= lo + END_TOL, lo, np.where(t >= hi - END_TOL, hi, t))
-        found.append((np.sort(t).tolist(), diag))
+        # each root's copy mod pi in the period that starts END_TOL below the
+        # window; on the window (give or take END_TOL) if any copy is
+        ts = [r for t in reps for r in ((t,) if t in (0.0, np.pi / 2) else (t, np.pi - t))]
+        copies = sorted(lo - END_TOL + (t - lo + END_TOL) % np.pi for t in ts)
+        roots = [lo if t <= lo + END_TOL else hi if t >= hi - END_TOL else t
+                 for t in copies if t <= hi + END_TOL]
+        found.append((roots, RootDiagnostics(CHEB_N, tail, defect, CHEB_N // 2, tuple(c[:5]))))
     return found
 
 
 def _classification_roots(spec: ActionSpec):
-    """``find_minimal(spec), find_biharmonic(spec)`` from one Fourier pass
-    that evaluates f_H and f_A on the same shape operators, at the first
-    quarter of the grid (see the module docstring), and the minimal spectrum
-    report (one frame block also gives the H of the |H| filter)."""
-    def weighted(ts):
-        # t_(m + n) = t_m + pi and t_(n - 1 - m) = pi - t_m on the grid of
-        # _fourier_roots, so the kernel runs on its first quarter m < n/2
-        # and the rest is filled by index: H(t + pi) = H(t), H(-t) = -H(t),
-        # and |A|^2 is even and pi-periodic (certified by the spec).
-        n = len(ts) // 2
-        m = np.arange(2 * n) % n
-        mirrored = m >= n // 2
-        h, norm_sq = curvature_invariants(spec, ts[:n // 2])[:, np.where(mirrored, n - 1 - m, m)]
-        w = singular_weight(spec, ts)
-        return np.stack([w * np.where(mirrored, -h, h), w**2 * (norm_sq - spec.einstein_constant)])
-
-    (minimal, h_diag), (roots, a_diag) = _fourier_roots(
-        spec, weighted, ("w H", "w^2 (|A|^2 - lambda)")
+    """``find_minimal(spec), find_biharmonic(spec)`` from one Chebyshev pass
+    that evaluates f_H and f_A on the same shape operators, at the nodes in
+    (0, pi/2) (see the module docstring), and the minimal spectrum report
+    (one frame block also gives the H of the |H| filter)."""
+    # t_(15 - m) = pi - t_m, so the kernel runs at the nodes m < 8 and the
+    # rest is filled by index: H(pi - t) = -H(t) and |A|^2(pi - t) = |A|^2(t)
+    # (certified by the spec).
+    half = curvature_invariants(spec, CHEB_NODES[:CHEB_N // 2])
+    h, norm_sq = np.concatenate([half, half[:, ::-1] * [[-1.0], [1.0]]], axis=1)
+    w = singular_weight(spec, CHEB_NODES)
+    (minimal, h_diag), (roots, a_diag) = _chebyshev_roots(
+        spec,
+        np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)]),
+        ("f_H = w H", "f_A = w^2 (|A|^2 - lambda)"),
     )
     if len(minimal) != 1:
         raise NoRootError(
@@ -284,7 +273,7 @@ def find_minimal(spec: ActionSpec) -> tuple[float, RootDiagnostics]:
     """The unique principal parameter with vanishing mean curvature, and
     how it was found.
 
-    The root of the trigonometric interpolant of f_H = w H; a zero on a
+    The root of the Chebyshev series of f_H = w H; a zero on a
     principal endpoint of the window (type III) is clipped onto it.
     """
     return _classification_roots(spec)[0]
@@ -295,7 +284,7 @@ def find_biharmonic(spec: ActionSpec) -> tuple[list[float], RootDiagnostics]:
     constant and the mean curvature does not vanish, and how they were
     found.
 
-    The roots of the trigonometric interpolant of f_A = w^2 (|A|^2 - lambda)
+    The roots of the Chebyshev series of f_A = w^2 (|A|^2 - lambda)
     that have |H| > 1e-6 (f_H must have one root, as in :func:`find_minimal`).
     """
     return _classification_roots(spec)[1]

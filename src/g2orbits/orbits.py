@@ -186,7 +186,7 @@ class ActionSpec(ActionRecord):
         (5, p, d - q - 1).
 
         Two certificates fold the period of t onto the orbit space, which
-        :func:`g2orbits.classify.classify` samples on its first quarter only.
+        :func:`g2orbits.classify.classify` samples on (0, pi/2) only.
         (a) g(pi) = I + 2 X^2 normalises h; then Ad(g(t + pi))^{-1} h =
         Ad(g(t))^{-1} h, so the lifts and the shape operators at t and t + pi
         agree.  (b) sigma = ``triality.SIGMA`` is orthogonal, Ad(sigma) maps
@@ -279,10 +279,10 @@ def _references(spec: ActionSpec) -> tuple[float, tuple[float, ...]]:
     J. Differential Geom. 5 (1971)), so H = -(1/c) sum (k_s - 1) cot(t - s)
     vanishes at u = tan^2 t = a/b, a = k_0 - 1 and b = k_(pi/2) - 1 (t = pi/2
     if b = 0).  By the Riccati identity |A|^2 = lambda at the roots of
-    b u^2 + (a + b - c^2 (lambda + Ric)) u + a; those with u != a/b are the
-    proper biharmonic orbits (Ou, Pacific J. Math. 248 (2010)), at t and
-    pi - t in the window.  A declared singular parameter whose orbit is
-    principal raises ValueError.
+    b u^2 + (a + b - c^2 (lambda + Ric)) u + a; those at t and pi - t in the
+    window, more than 1e-6 from the minimal parameter, are the proper
+    biharmonic orbits (Ou, Pacific J. Math. 248 (2010)).  A declared
+    singular parameter whose orbit is principal raises ValueError.
     """
     exponents = {}
     for s, k in zip(spec.singular_ts, spec.singular_codims):
@@ -294,10 +294,14 @@ def _references(spec: ActionSpec) -> tuple[float, tuple[float, ...]]:
     a, b = exponents.get(0.0, 0), exponents.get(np.pi / 2, 0)
     us = np.roots([b, a + b - spec.normal_speed_sq * (spec.einstein_constant + spec.ricci), a])
     us = us[np.isreal(us)].real
-    arctans = [np.arctan(np.sqrt(u)) for u in us if u > 0 and not np.isclose(b * u, a)]
+    arctans = [np.arctan(np.sqrt(u)) for u in us if u > 0]
+    minimal = float(np.arctan(np.sqrt(a / b))) if b else np.pi / 2
     lo, hi = spec.t_range
-    biharmonic = sorted(float(t) for r in arctans for t in (r, np.pi - r) if lo < t < hi)
-    return float(np.arctan(np.sqrt(a / b))) if b else np.pi / 2, tuple(biharmonic)
+    biharmonic = sorted(
+        float(t) for r in arctans for t in (r, np.pi - r)
+        if lo < t < hi and abs(t - minimal) > 1e-6
+    )
+    return minimal, tuple(biharmonic)
 
 
 def _ad_matrix(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from g2orbits.actions import action_record
 from g2orbits.classify import (
+    CHEB_NODES,
     EXPECTED_MULTIPLICITIES,
-    FOURIER_FIRST_N,
     PARAMETER_TOLERANCE,
     REFERENCE_AUSTERE,
     REFERENCE_BIHARMONIC_T,
     REFERENCE_MINIMAL_T,
     NoRootError,
     StructuralMismatchError,
-    _fourier_roots,
+    _chebyshev_roots,
     classify,
     classify_type,
     closed_form_spectrum,
@@ -131,21 +131,27 @@ class TestNormSqClosedForms:
 
 @st.composite
 def _root_sets(draw):
-    """A type, 1-6 sorted roots in its clipped window and a scale C.
+    """A type, 1-2 roots r_i in (0, pi/2), whether cos t is a factor (then
+    with one r_i, for a degree of at most 4) and a scale C.
 
-    The roots are at least 1e-5 inside the window and 0.2 apart mod pi,
-    where the roots of sin(t - r) recur.  Closer clusters are worse
-    conditioned for any root finder: six roots 0.1 apart move by up to
-    4e-12, 0.2 apart by at most 1e-13.
+    The roots are 1.1e-4 to pi/2 - 6e-4 (pi/2 - 1.1e-3 beside the root pi/2
+    of cos t), so inside every clipped window, and 0.2 apart.  Their mirror
+    images pi - r_i are roots as well, inside type IV's window only.
     """
     ty = draw(st.sampled_from(ALL_TYPES))
-    lo, hi = principal_interval(action_spec(ty))
-    lo, hi, gap, m = lo + 1e-5, hi - 1e-5, 0.2, draw(st.integers(1, 6))
-    span = min(hi - lo, np.pi - gap)
-    shift = draw(st.floats(0.0, hi - lo - span))
-    offsets = sorted(draw(st.lists(st.floats(0.0, span - (m - 1) * gap), min_size=m, max_size=m)))
-    roots = tuple(lo + shift + u + i * gap for i, u in enumerate(offsets))
-    return ty, roots, draw(st.floats(1e-3, 1e3))
+    odd = draw(st.booleans())
+    m = 1 if odd else draw(st.integers(1, 2))
+    lo, hi, gap = 1.1e-4, np.pi / 2 - (1.1e-3 if odd else 6e-4), 0.2
+    offsets = sorted(draw(st.lists(st.floats(0.0, hi - lo - (m - 1) * gap), min_size=m, max_size=m)))
+    roots = tuple(lo + u + i * gap for i, u in enumerate(offsets))
+    return ty, roots, odd, draw(st.floats(1e-3, 1e3))
+
+
+def _product(scale, roots, odd=False):
+    """C (cos t) prod (cos 2t - cos 2 r_i) at the Chebyshev nodes, as one row:
+    cos 2t - cos 2r = -2 sin(t - r) sin(t + r)."""
+    factors = [np.cos(2.0 * CHEB_NODES) - np.cos(2.0 * r) for r in roots]
+    return scale * np.prod(factors + [np.cos(CHEB_NODES)] * odd, axis=0)[None]
 
 
 class TestRootFinding:
@@ -172,11 +178,10 @@ class TestRootFinding:
             assert len(classify_type(ty).biharmonic_t) == counts[ty]
 
     def test_grid_is_one_call(self, monkeypatch):
-        # One kernel pass per type: the first quarter of the 2n = 32 nodes
-        # and midpoints, onto which the certified isometries t -> t + pi and
-        # t -> -t fold the rest, reaches curvature_invariants as one array
-        # call of one block, then one block for the minimal spectrum and
-        # the |H| filter; the orbit
+        # One kernel pass per type: the 8 Chebyshev nodes in (0, pi/2), onto
+        # which the certified isometry t -> pi - t folds the other 8, reach
+        # curvature_invariants as one array call of one block, then one
+        # block for the minimal spectrum and the |H| filter; the orbit
         # dimensions at the window ends come from the spec.  The kernel takes
         # its rows from the spec's coefficients, so g(t) is never formed.
         orbits = importlib.import_module("g2orbits.orbits")
@@ -197,37 +202,41 @@ class TestRootFinding:
             grids.clear()
             classify_type.__wrapped__(ty)  # uncached
             roots = len(classify_type(ty).biharmonic_t)
-            assert frames == [FOURIER_FIRST_N // 2, 1 + roots], (ty, frames)
-            assert grids == [((FOURIER_FIRST_N // 2,), [FOURIER_FIRST_N // 2])], (ty, grids)
+            assert frames == [8, 1 + roots], (ty, frames)
+            assert grids == [((8,), [8])], (ty, grids)
             assert geodesics == [], ty
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_one_pass_over_both_functions_equals_each_alone(self, ty):
         spec = action_spec(ty)
-
-        def weighted(ts):
-            (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
-            return np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
-
-        both = _fourier_roots(spec, weighted, ("f_H", "f_A"))
+        (h, norm_sq), w = curvature_invariants(spec, CHEB_NODES), singular_weight(spec, CHEB_NODES)
+        values = np.stack([w * h, w**2 * (norm_sq - spec.einstein_constant)])
+        both = _chebyshev_roots(spec, values, ("f_H", "f_A"))
         for row, (roots, diag) in enumerate(both):
-            [(alone, alone_diag)] = _fourier_roots(spec, lambda t: weighted(t)[[row]], ("f",))
+            [(alone, alone_diag)] = _chebyshev_roots(spec, values[[row]], ("f",))
             assert roots == alone
             assert diag == alone_diag
 
     def test_an_unresolved_row_is_named_while_the_other_is_accepted(self):
-        # |sin(t - 1)| has a kink, so no interpolant resolves it; sin(t - 1)
-        # is accepted at the first n
+        # |cos t| has a kink at pi/2, so its series has no end; cos t is
+        # accepted.
         spec = action_spec("III")
+        values = np.stack([np.cos(CHEB_NODES), np.abs(np.cos(CHEB_NODES))])
         with pytest.raises(NoRootError) as err:
-            _fourier_roots(
-                spec,
-                lambda t: np.array([np.sin(t - 1.0), np.abs(np.sin(t - 1.0))]),
-                ("smooth", "kinked"),
+            _chebyshev_roots(spec, values, ("smooth", "kinked"))
+        message = str(err.value)
+        assert "\n" not in message and "kinked: tail beyond degree 4" in message
+        assert "smooth" not in message
+
+    def test_a_mixed_parity_series_is_refused(self):
+        # cos t + cos 2t has degree 2 but no parity: neither the quadratic
+        # in cos 2t nor cos t times a linear one.
+        with pytest.raises(NoRootError) as err:
+            _chebyshev_roots(
+                action_spec("II"), (np.cos(CHEB_NODES) + np.cos(2.0 * CHEB_NODES))[None], ("x",)
             )
         message = str(err.value)
-        assert "kinked is not resolved by 64 Fourier nodes" in message
-        assert "smooth" not in message
+        assert "\n" not in message and "x: parity defect" in message
 
     def test_find_functions_match_classify(self):
         for ty in ALL_TYPES:
@@ -236,15 +245,12 @@ class TestRootFinding:
             assert find_minimal(spec) == (res.minimal_t, minimal_diag)
             assert find_biharmonic(spec) == (list(res.biharmonic_t), biharmonic_diag)
 
-    def test_each_function_keeps_its_first_accepted_interpolant(self, monkeypatch):
+    def test_a_term_beyond_degree_four_is_refused(self, monkeypatch):
         # A 1e-6 cos(2 t) term in |A|^2, even and pi-periodic as the folded
         # grid requires of a function of the orbit, gives
-        # f_A = w^2 (|A|^2 - lambda) degree 6, above the n/4 = 4 that 16
-        # nodes resolve, so n doubles for f_A alone; f_H keeps its n = 16
-        # interpolant.
+        # f_A = w^2 (|A|^2 - lambda) degree 6 in cos t; f_H is untouched.
         module = importlib.import_module("g2orbits.classify")
         exact = module.curvature_invariants
-        unperturbed = classify_type("II").root_diagnostics[0][1]
 
         def wiggled(spec, t):
             values = exact(spec, t)
@@ -252,11 +258,11 @@ class TestRootFinding:
             return values
 
         monkeypatch.setattr(module, "curvature_invariants", wiggled)
-        (_, minimal_diag), (_, biharmonic_diag) = classify(action_spec("II")).root_diagnostics
-        assert minimal_diag == unperturbed
-        assert (minimal_diag.n, minimal_diag.evaluations) == (16, 8)
-        assert (biharmonic_diag.n, biharmonic_diag.evaluations) == (32, 8 + 16)
-        assert biharmonic_diag.tail <= 1e-9 and biharmonic_diag.defect <= 1e-8
+        with pytest.raises(NoRootError) as err:
+            classify(action_spec("II"))
+        message = str(err.value)
+        assert "\n" not in message and "f_H" not in message
+        assert "f_A = w^2 (|A|^2 - lambda): tail beyond degree 4" in message
 
     def test_classify_reads_the_given_spec(self):
         spec = dataclasses.replace(action_spec("II"), einstein_constant=9.0)
@@ -297,47 +303,75 @@ class TestRootFinding:
         res = classify(replaced(monkeypatch, action_spec("II"), biharmonic_t=ref[:1]))
         assert res.passed is False and res.biharmonic_deviation < PARAMETER_TOLERANCE
 
-    @pytest.mark.parametrize("lam", [8.5, 9.0, 12.0])
-    @pytest.mark.parametrize("ty", ["II", "V"])
+    @pytest.mark.parametrize("lam", [1.5, 8.5, 9.0, 12.0])
+    @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_biharmonic_roots_match_closed_form_oracle(self, ty, lam):
+        # f_A is linear in cos 2t for III and IV.  1.5 is below the least
+        # |A|^2 of every window (2 for III, at pi/2), where no orbit is
+        # biharmonic.
         spec = dataclasses.replace(action_spec(ty), einstein_constant=lam)
         expected = _closed_form_roots(ty, lam)
         found, _ = find_biharmonic(spec)
-        assert len(found) == len(expected) == 2
-        assert max(abs(a - b) for a, b in zip(found, expected)) < 1e-10
+        assert len(found) == len(expected) == (0 if lam < 2 else 1 if ty == "III" else 2)
+        assert max((abs(a - b) for a, b in zip(found, expected)), default=0.0) < 1e-10
+        res = classify(spec)
+        assert res.passed is True and len(res.closed_form_biharmonic_t) == len(expected)
 
-    def test_unweighted_pole_raises(self):
-        # Without pi/2 among the singular parameters, w H keeps the pole of
-        # tan t there, so no interpolant up to 64 nodes resolves it.
-        spec = dataclasses.replace(action_spec("II"), singular_ts=(0.0,))
-        with pytest.raises(NoRootError) as err:
-            find_minimal(spec)
-        message = str(err.value)
-        assert "\n" not in message and "64 Fourier nodes" in message
+    def test_the_mean_curvature_filter_drops_only_the_minimal_orbit(self):
+        # With lambda = |A|^2(t_min), f_A vanishes on the minimal orbit, which
+        # is not proper biharmonic; 1e-4 away its |H| is 8.2e-4, above the
+        # 1e-6 of the filter, and the root is kept.
+        spec = action_spec("II")
+        t_min = spec.minimal_t
+        for shift, kept in [(0.0, ()), (1e-4, (t_min + 1e-4,))]:
+            lam = float(shape_norm_sq(spec, t_min + shift))
+            moved = dataclasses.replace(spec, einstein_constant=lam)
+            found, _ = find_biharmonic(moved)
+            assert len(found) == 1 + len(kept) == len(moved.biharmonic_t)
+            assert abs(found[0] - np.pi / 4) < 1e-3  # the other root, far from t_min
+            assert max(abs(a - b) for a, b in zip(found, moved.biharmonic_t)) < 1e-12
+            assert all(abs(a - b) < 1e-12 for a, b in zip(found[1:], kept))
+            assert classify(moved).passed is True
+        assert 1e-6 < abs(curvature_invariants(spec, t_min + 1e-4)[0]) < 1e-3
+
+    def test_a_root_on_the_symmetry_point_is_counted_once(self):
+        # |A|^2 of type IV is least at pi/2, where it is 6.5: f_A has a double
+        # root in t there, a simple root z = cos 2t = -1, and it is the
+        # minimal orbit, so no orbit is proper biharmonic.
+        spec = dataclasses.replace(action_spec("IV"), einstein_constant=6.5)
+        assert spec.biharmonic_t == ()
+        res = classify(spec)
+        assert res.biharmonic_t == () and res.passed is True
+        # cos 2t + 1 = 2 cos^2 t: one root, not a close pair
+        [(roots, _)] = _chebyshev_roots(action_spec("IV"), _product(1.0, [np.pi / 2]), ("f",))
+        assert roots == [np.pi / 2]
 
     @pytest.mark.parametrize("shift", [0.0, 1e-10], ids=["double", "close_pair"])
     def test_near_double_root_raises(self, shift):
-        # The companion matrix splits the double root of sin^2(t - 1) into
-        # a pair of eigenvalues about 1e-8 apart, and sin^2(t - 1) + 1e-10
-        # has the pair 1 +/- 1e-5 i: neither may vanish from the root count.
+        # The double root z = cos 2 of (cos 2t - cos 2)^2, and the pair
+        # cos 2 +/- 1e-5 i of (cos 2t - cos 2)^2 + 1e-10, may not vanish
+        # from the root count.
         spec = action_spec("III")
         with pytest.raises(NoRootError) as err:
-            _fourier_roots(spec, lambda t: np.array([np.sin(t - 1.0) ** 2 + shift]), ("x",))
+            _chebyshev_roots(spec, _product(1.0, [1.0, 1.0]) + shift, ("x",))
         message = str(err.value)
-        assert "\n" not in message and "double root near t=1" in message
+        assert "\n" not in message and "double root near t=+-1 mod pi" in message
         # two simple roots 0.01 apart are still found
-        [(roots, _)] = _fourier_roots(
-            spec, lambda t: np.array([np.sin(t - 1.0) * np.sin(t - 1.01)]), ("x",)
-        )
+        [(roots, _)] = _chebyshev_roots(spec, _product(1.0, [1.0, 1.01]), ("x",))
         assert np.allclose(roots, [1.0, 1.01], atol=1e-12)
+        # a root z just past -1, and a root z near -1 beside the root pi/2 of
+        # cos t, are near-double roots at pi/2
+        past, beside = _product(1.0, [np.pi / 2]) + 1e-6, _product(1.0, [np.pi / 2 - 1e-5], True)
+        for values in [past, beside]:
+            with pytest.raises(NoRootError, match=r"double root near t=\+-1.5708 mod pi"):
+                _chebyshev_roots(spec, values, ("x",))
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_values_outside_the_window_are_the_analytic_continuation(self, ty):
-        # The grid covers a whole period; off the window the kernel's w H and
-        # w^2 |A|^2 must still be the closed forms times the weight.
+        # Off the window the kernel's w H and w^2 |A|^2 must still be the
+        # closed forms times the weight, here at 32 points over a period.
         spec, record = action_spec(ty), action_record(ty)
-        n = FOURIER_FIRST_N
-        ts = np.pi * np.arange(1, 4 * n, 2) / (2 * n)
+        ts = np.pi * np.arange(1, 64, 2) / 32
         (h, norm_sq), w = curvature_invariants(spec, ts), singular_weight(spec, ts)
         closed_h, closed_norm_sq = spectrum_moments(record, ts)
         for engine, closed_form in [
@@ -349,23 +383,32 @@ class TestRootFinding:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=_root_sets())
-    @example(data=("II", (1e-4 + 1e-5, 0.8, np.pi / 2 - 1e-4 - 5e-4), 1.0))
-    @example(data=("IV", (1e-4 + 9e-4, 1.2, 2.0), 3.0))
-    @example(data=("III", (0.3, 0.7, 1.1, np.pi / 2 - 2e-4), 0.01))
+    @example(data=("II", (1e-4 + 1e-5, np.pi / 2 - 1e-4 - 5e-4), False, 1.0))
+    @example(data=("IV", (1e-4 + 9e-4, 1.2), False, 3.0))
+    @example(data=("III", (0.7,), True, 0.01))
+    @example(data=("IV", (np.pi / 2 - 1.1e-3,), True, 1e3))
     def test_roots_of_a_product_of_sines(self, data):
-        # C prod sin(t - r_i) has exactly the roots r_i in the window; a
-        # repeated r_i is a double root and raises.
-        ty, roots, scale = data
+        # C (cos t) prod (cos 2t - cos 2 r_i) has exactly the roots r_i, the
+        # pi - r_i and, with cos t, pi/2 in the window; a repeated r_i is a
+        # double root and raises.
+        ty, roots, odd, scale = data
         spec = action_spec(ty)
-
-        def product(*rs):
-            return lambda t: np.array([scale * np.prod([np.sin(t - r) for r in rs], axis=0)])
-
-        [(found, _)] = _fourier_roots(spec, product(*roots), ("f",))
-        assert len(found) == len(roots)
-        assert np.max(np.abs(np.array(found) - np.array(roots))) <= 1e-12
+        lo, hi = principal_interval(spec)
+        expected = sorted(
+            [t for r in roots for t in (r, np.pi - r) if lo <= t <= hi]
+            + [np.pi / 2] * (odd and lo <= np.pi / 2 <= hi)
+        )
+        [(found, _)] = _chebyshev_roots(spec, _product(scale, roots, odd), ("f",))
+        assert len(found) == len(expected)
+        # An even function is flat at 0 and pi/2, so the rounding of its
+        # values moves a root d away from there by up to about 12 eps / d (23
+        # eps / sin 2d at most over 20,000 random sets; the root pi/2 of
+        # cos t is exact).
+        expected = np.array(expected)
+        bound = 1e-12 + 2e-14 / np.maximum(np.abs(np.sin(2.0 * expected)), 1e-4)
+        assert np.all(np.abs(np.array(found) - expected) <= bound)
         with pytest.raises(NoRootError, match="double root"):
-            _fourier_roots(spec, product(roots[0], *roots), ("f",))
+            _chebyshev_roots(spec, _product(scale, roots[:1] * 2), ("f",))
 
     def test_weight_has_one_factor_per_singular_class(self):
         # Type IV's singular parameters 0 and pi agree mod pi: one sin t.
@@ -374,17 +417,25 @@ class TestRootFinding:
         expected = np.sin(ts) * np.sin(ts - np.pi / 2)
         assert np.array_equal(singular_weight(action_spec("V"), ts), expected)
 
+    def test_unweighted_pole_raises(self):
+        # Without pi/2 among the singular parameters, w H keeps the pole of
+        # tan t there, so its series has no end.
+        spec = dataclasses.replace(action_spec("II"), singular_ts=(0.0,))
+        with pytest.raises(NoRootError) as err:
+            find_minimal(spec)
+        message = str(err.value)
+        assert "\n" not in message and "f_H = w H: tail beyond degree 4" in message
+
     def test_endpoint_root_is_clipped_onto_the_end(self):
         assert classify_type("III").minimal_t == np.pi / 2
-        # A root 1e-12 below a principal lower end t = 0 has arg z near
-        # 2 pi; its copy near 0 is the one clipped onto the end.
+        # With t = 0 a principal end, the root z = 1 of cos 2t - 1 is the
+        # single t = 0, and a root 1e-10 past the upper end is clipped onto it.
         spec = dataclasses.replace(action_spec("II"), singular_ts=(np.pi / 2,))
-        [(roots, _)] = _fourier_roots(spec, lambda t: np.array([np.sin(t + 1e-12)]), ("x",))
-        assert roots == [0.0]
+        lo, hi = principal_interval(spec)
+        [(roots, _)] = _chebyshev_roots(spec, _product(1.0, [0.0, hi + 1e-10]), ("x",))
+        assert roots == [0.0, hi]
         # A root between a singular end and the clipped window is not one.
-        [(roots, _)] = _fourier_roots(
-            action_spec("II"), lambda t: np.array([np.sin(t - 5e-5) * np.sin(t - 1.0)]), ("x",)
-        )
+        [(roots, _)] = _chebyshev_roots(action_spec("II"), _product(1.0, [5e-5, 1.0]), ("x",))
         assert len(roots) == 1 and abs(roots[0] - 1.0) < 1e-12
 
     def test_root_diagnostics(self):
@@ -392,10 +443,28 @@ class TestRootFinding:
             diagnostics = classify_type(ty).root_diagnostics
             assert [name for name, _ in diagnostics] == ["f_H", "f_A"]
             for _, diag in diagnostics:
-                # One interpolant of 16 nodes and 16 midpoints resolves
-                # each, from the kernel at the 8 of them in (0, pi/2).
+                # One series from 16 Chebyshev nodes resolves each, from the
+                # kernel at the 8 of them in (0, pi/2).
                 assert (diag.n, diag.evaluations) == (16, 8)
-                assert diag.tail <= 1e-9 and diag.defect <= 1e-8
+                assert diag.tail <= 1e-9 and diag.defect <= 1e-9
+                values = (diag.tail, diag.defect, *diag.coefficients)
+                assert len(diag.coefficients) == 5
+                assert all(type(x) is float for x in values)
+
+    def test_coefficients_are_the_series_of_the_closed_forms(self, rng):
+        # sum c_k T_k(cos t) against w H and w^2 (|A|^2 - lambda) from the
+        # closed-form spectrum, over a whole period and independent of the
+        # kernel.
+        for ty in ALL_TYPES:
+            spec = action_spec(ty)
+            ts = rng.uniform(0.0, np.pi, size=50)
+            h, norm_sq = spectrum_moments(action_record(ty), ts)
+            w = singular_weight(spec, ts)
+            closed = [w * h, w**2 * (norm_sq - spec.einstein_constant)]
+            for (_, diag), values in zip(classify_type(ty).root_diagnostics, closed):
+                series = np.polynomial.chebyshev.chebval(np.cos(ts), diag.coefficients)
+                bound = 1e-12 * np.max(np.abs(diag.coefficients))
+                assert np.max(np.abs(series - values)) <= bound, ty
 
     def test_result_is_a_plain_value(self):
         res = classify_type("II")
@@ -404,7 +473,9 @@ class TestRootFinding:
         assert copy.deepcopy(res) == res
         fields = dataclasses.asdict(res)
         assert fields["root_diagnostics"][0][0] == "f_H"
-        assert set(fields["root_diagnostics"][1][1]) == {"n", "tail", "defect", "evaluations"}
+        assert set(fields["root_diagnostics"][1][1]) == {
+            "n", "tail", "defect", "evaluations", "coefficients"
+        }
 
 
 def _closed_form_roots(ty: str, lam: float) -> list[float]:

@@ -180,7 +180,8 @@ class TestClassify:
         diagnostics = json.loads(capsys.readouterr().out)["rows"][0]["root_diagnostics"]
         assert set(diagnostics) == {"f_H", "f_A"}
         for entry in diagnostics.values():
-            assert set(entry) == {"n", "tail", "defect", "evaluations"}
+            assert set(entry) == {"n", "tail", "defect", "evaluations", "coefficients"}
+            assert len(entry["coefficients"]) == 5
         assert main(["classify", "--type", "II"]) == 0
         assert "root_diagnostics" not in capsys.readouterr().out
 
