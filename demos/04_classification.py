@@ -4,7 +4,8 @@ Run:  python demos/04_classification.py   (well under a second: one
 Chebyshev series in cos t per root function and type)
 """
 
-from g2orbits import action_spec, classify, verify_reflection
+from g2orbits import action_spec, verify_reflection
+from g2orbits.classify import classify
 
 print("Classifying the four actions (Chebyshev series in cos t of the weighted mean")
 print("curvature and |shape|^2 from 16 nodes in (0, pi), roots in closed form from")
@@ -30,8 +31,8 @@ for ty in ("II", "III", "IV", "V"):
     for note in res.discrepancy_notes:
         print(f"  note: {note}")
     for name, diag in res.root_diagnostics:
-        print(f"  root finder {name}       n = {diag.n}, tail {diag.tail:.1e}, "
-              f"parity defect {diag.defect:.1e}, {diag.evaluations} evaluations")
+        print(f"  root finder {name}       tail {diag.tail:.1e}, "
+              f"parity defect {diag.defect:.1e}")
     print()
 
 print("Summary of austere verdicts at the minimal orbit:")

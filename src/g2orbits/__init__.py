@@ -2,8 +2,8 @@
 geometry of the cohomogeneity-one actions of SO(4) x SU(3) on G2 and of
 G2 x G2, (SO(3) x SO(4)) x G2 and U(3) x G2 on SO(7).
 
-``g2orbits.classify`` is the function, which hides its submodule of the same
-name; reach the module with ``from g2orbits.classify import ...``."""
+``g2orbits.classify`` is the classification module; its function of the
+same name is ``g2orbits.classify.classify``."""
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ from .classify import (
     NoRootError,
     RootDiagnostics,
     StructuralMismatchError,
-    classify,
     classify_type,
     closed_form_spectrum,
     compare_spectra,

@@ -162,19 +162,16 @@ NEAR_UNIT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class RootDiagnostics:
-    """How the roots of one weighted function were found.
+    """How the roots of one weighted function were found from its
+    :data:`CHEB_N` nodes.
 
-    ``n`` is the number of Chebyshev nodes, ``tail`` and ``defect`` the
-    relative tail beyond degree 4 and the parity defect of its acceptance
-    (see the module docstring), ``evaluations`` the kernel evaluations
-    (parameters t), at the nodes in (0, pi/2) onto which the rest fold, and
+    ``tail`` and ``defect`` are the relative tail beyond degree 4 and the
+    parity defect of its acceptance (see the module docstring), and
     ``coefficients`` the certified c_0 .. c_4 of sum c_k T_k(cos t).
     """
 
-    n: int
     tail: float
     defect: float
-    evaluations: int
     coefficients: tuple[float, ...]
 
 
@@ -239,7 +236,7 @@ def _chebyshev_roots(
         copies = sorted(lo - END_TOL + (t - lo + END_TOL) % np.pi for t in ts)
         roots = [lo if t <= lo + END_TOL else hi if t >= hi - END_TOL else t
                  for t in copies if t <= hi + END_TOL]
-        found.append((roots, RootDiagnostics(CHEB_N, tail, defect, CHEB_N // 2, tuple(c[:5]))))
+        found.append((roots, RootDiagnostics(tail, defect, tuple(c[:5]))))
     return found
 
 

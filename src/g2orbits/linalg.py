@@ -8,7 +8,7 @@ inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter
 (for Spin(7) lifts, the reflection isometries, demos and tests; orbit
 frames use a closed form), orthonormal bases of spans from LAPACK's
 singular value decomposition (the numerical rank counts the singular values
-above 1e-9 times the largest one, also for a stack of matrices), the
+above 1e-9 times the largest one), the
 distance of matrices off an orthonormal span (:func:`off_span`), orthogonal
 complements as the null space of one SVD of the sub's coordinates in the
 ambient basis, and symmetric eigenvalues from LAPACK clustered into
@@ -167,14 +167,12 @@ def _from_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def ranked_svd(rows: np.ndarray, abs_tol: float = 0.0):
-    """Thin SVD ``u, sing, vt`` of ``rows`` and its numerical rank ``dim``.
-
-    ``rows`` may carry leading batch axes; ``dim`` then has their shape.
-    The rank counts the singular values above 1e-9 times the largest one
-    and above ``abs_tol``.
+    """Thin SVD ``u, sing, vt`` of the matrix ``rows`` and its numerical
+    rank ``dim``: the count of singular values above 1e-9 times the largest
+    one and above ``abs_tol``.
     """
     u, sing, vt = np.linalg.svd(rows, full_matrices=False)
-    dim = np.count_nonzero(sing > np.maximum(_RANK_RTOL * sing[..., :1], abs_tol), axis=-1)
+    dim = int(np.count_nonzero(sing > np.maximum(_RANK_RTOL * sing[:1], abs_tol)))
     return u, sing, vt, dim
 
 
@@ -186,7 +184,7 @@ def orthonormalize(generators) -> Subspace:
     and the basis is the matching right singular vectors.
     """
     _, _, vt, dim = ranked_svd(_to_rows(np.asarray(list(generators), dtype=float)))
-    return Subspace(_from_rows(vt[:dim]), int(dim))
+    return Subspace(_from_rows(vt[:dim]), dim)
 
 
 def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:

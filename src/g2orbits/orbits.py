@@ -17,38 +17,30 @@ The value is independent of the lift choice (the second fundamental form
 is tensorial), so any exact solution is acceptable.
 
 Two kernels compute the frames, in orthonormal coordinates e_a of the
-ambient algebra and for a whole block of t at once.  Neither forms
-g(t) = I + sin t X + 2 sin^2(t/2) X^2: the rows H of Ad(g(t))^{-1} h are a
-trigonometric polynomial in t whose five coefficient blocks each spec
-derives and certifies once (see :class:`ActionSpec`), so H and its parts
-off k are one product per t.  Both lift the tangent rows [K; W] (the lifts
-of the K rows are -K, those of W are refined once against the full rows
-[H; K]), and with T the tangent rows, P the rows of Ad^{-1} X_i + Y_i and
-ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is S = -1/2 T ad_n P^T.
+ambient algebra.  Neither forms g(t) = I + sin t X + 2 sin^2(t/2) X^2: the
+rows H of Ad(g(t))^{-1} h are a trigonometric polynomial in t whose five
+coefficient blocks each spec derives and certifies once (see
+:class:`ActionSpec`).  The actions are hyperpolar, so the spec certifies
+that xi is normal to every orbit, and H = A W + (H K^T) K with W the spec's
+fixed basis of xi^perp in k^perp.  Both kernels factor the same
+p x (d - q - 1) matrix A(t), one product per t, and both lift tangent rows [K; W'] (the
+lifts of the K rows are -K, those of W' in the span of W are refined once
+against the full rows [H; K]).  With T the tangent rows, P the rows of
+Ad^{-1} X_i + Y_i and ad_n[a, b] = <e_a, [e_b, n]>, the shape operator is
+S = -1/2 T ad_n P^T.
 
-- :func:`_frames`, the general kernel, serves every orbit, singular ones
-  too: as k is the same at every t, one SVD of the rows H off k gives the
-  rank, the tangent rows, the normal rows and the lifts.  Orbit frames,
-  shape operators in any normal, the codimensions of the singular orbits
-  and the frame at the minimal parameter on which :func:`verify_reflection`
-  certifies the orbit-reversing isometry x -> a x^eps b of types III and IV
-  come from it.
-- :func:`_principal_lifts`, the principal kernel, takes no SVD: the actions
-  are hyperpolar, so the spec certifies that xi is normal to every orbit,
-  and the tangent space of every principal orbit is the constant xi^perp
-  with the spec's fixed rows [K; W].  One QR of the coordinates of H in W
-  gives the lifts and certifies the rank.  Spectrum reports (at one t, or
-  with :func:`spectrum_reports` over an array of t), and H and |A|^2
-  together (:func:`curvature_invariants`) over whole arrays of t (block by
-  block) come from it.
+- :func:`_frames`, the general kernel, serves every orbit at one t,
+  singular ones too: one SVD of A gives the rank, the tangent and normal
+  rows (xi first among the normals) and the lifts.  Orbit frames, shape
+  operators in any normal and the singular codimensions come from it.
+- :func:`_principal_lifts`, the principal kernel, takes no SVD: every
+  principal tangent space is xi^perp, with the spec's fixed rows [K; W],
+  and one QR of A gives the lifts and certifies the rank.  Spectrum
+  reports and H and |A|^2 (:func:`curvature_invariants`) over whole
+  arrays of t, block by block, come from it.
 
-As the K rows are orthonormal, the kept singular values of the full rows
-[H; K] and of the rows off k have products that differ only by the
-constant factor 2^(m/2), m the dimension of the isotropy algebra, so a
-log-volume of the orbit can be read off either kernel at no extra call:
-the SVD's log sigma_i, or the QR's log |R_ii|, which sum to the same (the
-coordinates of the rows off k in W keep their sigma_i, and |det R| is
-their product).
+As both factor A, a log-volume of the orbit can be read off either kernel
+at no extra call: the SVD's sum of log sigma_i is the QR's log |det R|.
 
 An :class:`ActionSpec` is the record of its type from
 :mod:`g2orbits.actions` (groups, geodesic and section generators, parameter
@@ -57,18 +49,18 @@ geometry, the kernels' coefficients, the codimensions of the singular orbits
 and the reference parameters.  Only the record's fields can be set, so a
 spec built by ``dataclasses.replace`` is as consistent as one of the four
 built by :func:`action_spec`.  The unit normal at a principal parameter is
-oriented along the section generator, and t = section_ratio * s.  When it is
+the unit section generator xi, and t = section_ratio * s.  When it is
 built, every spec certifies what the kernels then assume at every t:
 X^3 = -X (so the closed form of g(t) and the five coefficient blocks are
-exact), an orthonormal basis [K; K_perp] of the ambient algebra,
-Ad(g(t))^{-1} h inside the ambient algebra and orthogonal to xi at every
-t, certified on the five coefficient blocks rather than on samples of t,
-and K xi = 0; and what the classification's root finder assumes of the
+exact), orthonormal rows K of k, Ad(g(t))^{-1} h inside the ambient
+algebra and orthogonal to xi at every t, certified on the five coefficient
+blocks rather than on samples of t, and K xi = 0; and what the classification's root finder assumes of the
 orbit space: g(pi) normalises h, and the order-two automorphism sigma
 (``triality.SIGMA``) maps the ambient algebra, h and k into themselves and
 reverses X and xi, so t -> t + pi and t -> -t are isometries between
 orbits.  :func:`_geodesic` forms g(t) itself only for
-:func:`verify_reflection`.
+:func:`verify_reflection`, which checks the orbit-reversing isometry
+x -> a x^eps b of types III and IV on the spec's fixed tangent rows.
 """
 
 from __future__ import annotations
@@ -144,17 +136,14 @@ class ActionSpec(ActionRecord):
     h: NamedSubalgebra = _derived()
     k: NamedSubalgebra = _derived()
     geodesic_generator: np.ndarray = _derived()  # X, with X^3 = -X certified
-    section_generator: np.ndarray = _derived()
     ambient_rows: np.ndarray = _derived()  # (d, 64), the e_a as rows
-    k_coords: np.ndarray = _derived()  # (k.dim, d), coordinates of the basis of k
-    k_perp: np.ndarray = _derived()  # (d - k.dim, d), orthonormal complement of k
+    k_coords: np.ndarray = _derived()  # (q, d), K: orthonormal coordinates of the basis of k
     unit_section: np.ndarray = _derived()  # (d,), the unit section generator xi
     ad_section: np.ndarray = _derived()  # (d, d), [a, b] = <e_a, [e_b, xi]>
     tangent_rows: np.ndarray = _derived()  # (d - 1, d), [K; W], W spanning xi^perp in k^perp
     tangent_ad: np.ndarray = _derived()  # (d - 1, d), [K; W] ad_section
-    h_terms: np.ndarray = _derived(repr=False)  # (5, p, d), see __post_init__
-    h_terms_perp: np.ndarray = _derived(repr=False)  # (5, p, d - q)
-    h_terms_w: np.ndarray = _derived(repr=False)  # (5, p, d - q - 1)
+    h_terms: np.ndarray = _derived(repr=False)  # (5, p, d), the M_j, see __post_init__
+    h_terms_w: np.ndarray = _derived(repr=False)  # (5, p, d - q - 1), the M_j times W^T
     normal_speed_sq: float = _derived()  # c^2
     ricci: float = _derived()  # Ric(xi, xi)
     singular_codims: tuple[int, ...] = _derived()  # k_s at each entry of singular_ts
@@ -181,9 +170,8 @@ class ActionSpec(ActionRecord):
         tangent space of every principal orbit is the constant xi^perp, whose
         rows [K; W] (W an orthonormal basis of xi^perp in k^perp, from the null
         space of one SVD of [K; xi]) are ``tangent_rows``.  ``h_terms`` holds
-        the ambient coordinates of the M_j, (5, p, d), ``h_terms_perp`` those
-        times K_perp^T, (5, p, d - q), and ``h_terms_w`` those times W^T,
-        (5, p, d - q - 1).
+        the ambient coordinates of the M_j, (5, p, d), and ``h_terms_w``
+        those times W^T, (5, p, d - q - 1): A(t) of the module docstring.
 
         Two certificates fold the period of t onto the orbit space, which
         :func:`g2orbits.classify.classify` samples on (0, pi/2) only.
@@ -210,21 +198,19 @@ class ActionSpec(ActionRecord):
         x, section = v_elem(4, *self.geodesic), v_elem(4, *self.section)
         rows = _to_rows(ambient.basis)
         k_coords = _to_rows(k.basis) @ rows.T
-        k_perp = np.linalg.svd(k_coords)[2][k.dim:]
         unit_section = _to_rows(section[None])[0] @ rows.T
         unit_section /= np.linalg.norm(unit_section)
         ad_section = _ad_matrix(ambient.basis, unit_section)
         derive(
             ambient=ambient, h=named_subalgebra(self.h_name), k=k, geodesic_generator=x,
-            section_generator=section, ambient_rows=rows, k_coords=k_coords, k_perp=k_perp,
-            unit_section=unit_section, ad_section=ad_section,
+            ambient_rows=rows, k_coords=k_coords, unit_section=unit_section,
+            ad_section=ad_section, ricci=0.25 * float(np.sum(ad_section**2)),
             normal_speed_sq=inner_g(x, section) ** 2 / inner_g(section, section),
-            ricci=0.25 * float(np.sum(ad_section**2)),
         )
-        kk = np.concatenate([k_coords, k_perp])
         certify(
             ("geodesic X^3 = -X fails", np.abs(x @ x @ x + x).max()),
-            ("[k; k_perp] is not an orthogonal basis", np.abs(kk @ kk.T - np.eye(len(kk))).max()),
+            ("the rows K of k are not an orthogonal basis",
+             np.abs(k_coords @ k_coords.T - np.eye(k.dim)).max()),
         )
         h, x2 = self.h.basis, x @ x
         xhx = x @ h @ x
@@ -256,9 +242,9 @@ class ActionSpec(ActionRecord):
         tangent = np.concatenate([k_coords, w])
         derive(
             tangent_rows=tangent, tangent_ad=tangent @ ad_section, h_terms=coords,
-            h_terms_perp=coords @ k_perp.T, h_terms_w=coords @ w.T,
+            h_terms_w=coords @ w.T,
         )
-        codims = tuple(ambient.dim - _frames(self, np.array([s]))[1] for s in self.singular_ts)
+        codims = tuple(ambient.dim - _frames(self, s)[1] for s in self.singular_ts)
         derive(singular_codims=codims)
         minimal_t, biharmonic_t = _references(self)
         derive(minimal_t=minimal_t, biharmonic_t=biharmonic_t)
@@ -351,18 +337,11 @@ def _trig_rows(ts: np.ndarray, *terms: np.ndarray) -> list[np.ndarray]:
     return [(phi @ t.reshape(5, -1)).reshape(len(ts), t.shape[1], -1) for t in terms]
 
 
-def _generator_rows(spec: ActionSpec, ts: np.ndarray):
-    """The ambient coordinates of Ad(g(t))^{-1} h_p, (n, p, d), and their
-    k_perp coordinates, (n, p, d - q), at each parameter of ``ts``, from the
-    certified coefficients of :meth:`ActionSpec.__post_init__`."""
-    return _trig_rows(ts, spec.h_terms, spec.h_terms_perp)
-
-
 def _refined_lifts(from_h, k_coords, w, ts):
     """The lift rows Ad^{-1} X_i + Y_i of the tangent rows [K; W] and the
     lift residual per t, in both kernels, from the rows ``from_h`` = C^T H
     of first coefficients C (n, p, r) on the rows H of Ad(g(t))^{-1} h,
-    with C^T H = W up to its k part and rounding.
+    with C^T H = W (r, d) up to its k part and rounding.
 
     The lifts of the K rows are exactly -K.  Those of W take C on H and
     C_k = -(K H^T) C on K, so that C^T H + C_k^T K = W, refined once against
@@ -373,12 +352,12 @@ def _refined_lifts(from_h, k_coords, w, ts):
     C_k^T K += E K^T K + S C_k^T K.  Refined in k-perp coordinates only,
     the lifts lose 1.5 to 3 digits of |A|^2 at t = 1e-4.  ``residual`` is
     the largest entry of the remaining error; above 1e-9 the lifts are
-    refused with ArithmeticError.  ``w`` is (r, d) or one (n, r, d) stack.
+    refused with ArithmeticError.
     """
     k_proj = k_coords.T @ k_coords
     from_k = -from_h @ k_proj
     err = w - from_h - from_k
-    step = err @ np.swapaxes(w, -1, -2)
+    step = err @ w.T
     from_h = from_h + step @ from_h
     from_k = from_k + err @ k_proj + step @ from_k
     residual = np.abs(from_h + from_k - w).max(axis=(1, 2), initial=0.0)
@@ -394,44 +373,28 @@ def _refined_lifts(from_h, k_coords, w, ts):
     return lifts, residual
 
 
-def _frames(spec: ActionSpec, ts: np.ndarray):
-    """The general frame kernel: ``vt, dim, lifts, residual`` at each
-    parameter of ``ts``, from one SVD U diag(sing) V^T of the reduced rows
-    H K_perp^T.  It serves every orbit, singular ones too; the principal
-    shape operators come from :func:`_principal_lifts` instead.
+def _frames(spec: ActionSpec, t: float):
+    """The general frame kernel: ``rows, dim, lifts, residual`` at ``t``,
+    from one SVD U diag(sing) V^T of A(t) = phi(t) ``spec.h_terms_w`` (see
+    :func:`_principal_lifts`).  It serves every orbit, singular ones too;
+    the principal shape operators come from :func:`_principal_lifts`.
 
-    The rows H (the ambient coordinates of Ad(g(t))^{-1} h_p) and the
-    reduced rows come from :func:`_generator_rows`, the spec's certified
-    coefficients, so g(t) itself is never formed and the rows lie in the
-    ambient algebra exactly; K (q rows) and K_perp are ``spec.k_coords``
-    and ``spec.k_perp``.
-    The rank r of the reduced rows counts the singular values above
-    1e-9 max(1, sing_max): the floor keeps a block that is all rounding
-    (type III at t = 0, where h = k) at rank 0.
-    ``dim`` = q + r is the largest rank of the block; a parameter of lower
-    rank raises :class:`SingularOrbitError` with its codimension
-    d - q - r.  ``vt`` stacks K over V^T K_perp: the tangent rows
-    vt[:, :dim] are [K; W] and the normal rows vt[:, dim:].  The lifts
-    (:func:`_refined_lifts`) start from C = U[:, :r] / sing[:r], and
-    ``lifts`` stacks -K over the rows Ad^{-1} X_i + Y_i of W.
+    The rank r of A counts the singular values above 1e-9 max(1, sing_max):
+    the floor keeps an A that is all rounding (type III at t = 0, where
+    h = k) at rank 0.  With W the fixed rows ``spec.tangent_rows[q:]``,
+    ``rows`` stacks the tangent rows [K; V^T[:r] W], ``dim`` = q + r of
+    them, over the normal rows [xi; V^T[r:] W], so xi is the first normal
+    at every t.  The lifts (:func:`_refined_lifts`) start from
+    C = U[:, :r] / sing[:r], and ``lifts`` stacks -K over the rows
+    Ad^{-1} X_i + Y_i of V^T[:r] W.
     """
-    d = spec.ambient.dim
-    h_coords, reduced = _generator_rows(spec, ts)
-    q = spec.k.dim
-    u, sing, vt_red, dims = ranked_svd(reduced, abs_tol=1e-9)
-    dim_r = int(dims.max())
-    if np.any(dims < dim_r):
-        i = int(np.argmax(dims < dim_r))
-        raise SingularOrbitError(
-            f"type {spec.action_type} orbit at t={ts[i]} has codimension {d - q - dims[i]}",
-            codimension=int(d - q - dims[i]),
-        )
-    vt = np.concatenate(
-        [np.broadcast_to(spec.k_coords, (len(ts), q, d)), vt_red @ spec.k_perp], axis=1
-    )
-    from_h = (np.swapaxes(u[..., :dim_r], 1, 2) / sing[:, :dim_r, None]) @ h_coords
-    lifts, residual = _refined_lifts(from_h, spec.k_coords, vt[:, q:q + dim_r], ts)
-    return vt, q + dim_r, lifts, residual
+    h_coords, a = _trig_rows(np.array([t], dtype=float), spec.h_terms, spec.h_terms_w)
+    u, sing, vt, r = ranked_svd(a[0], abs_tol=1e-9)
+    w = vt @ spec.tangent_rows[spec.k.dim:]
+    rows = np.concatenate([spec.k_coords, w[:r], spec.unit_section[None], w[r:]])
+    from_h = (u[:, :r] / sing[:r]).T @ h_coords
+    lifts, residual = _refined_lifts(from_h, spec.k_coords, w[:r], [t])
+    return rows, spec.k.dim + r, lifts[0], float(residual[0])
 
 
 def _principal_lifts(spec: ActionSpec, ts: np.ndarray):
@@ -444,8 +407,8 @@ def _principal_lifts(spec: ActionSpec, ts: np.ndarray):
     coefficients C = Q R^-T, with C^T A = I, which :func:`_refined_lifts`
     refines.  The orbit is principal when A has rank r = d - q - 1, and the
     rank is certified by sigma_min(A) >= 1 / |R^-1|_F > 1e-9 max(1, |R|_F),
-    which is stricter than the rank rule of :func:`_frames`.  A parameter
-    that fails it (or has an exactly singular R) raises
+    which is stricter than the rank rule of the SVD of A in :func:`_frames`.
+    A parameter that fails it (or has an exactly singular R) raises
     :class:`SingularOrbitError` with the codimension :func:`_frames` finds
     there.
     """
@@ -461,7 +424,7 @@ def _principal_lifts(spec: ActionSpec, ts: np.ndarray):
         certified = 1e-18 * inv_sq * np.maximum(1.0, r_sq) < 1.0
     if not certified.all():
         i = int(np.argmin(certified))
-        codim = spec.ambient.dim - _frames(spec, ts[i:i + 1])[1]
+        codim = spec.ambient.dim - _frames(spec, ts[i])[1]
         raise SingularOrbitError(
             f"type {spec.action_type} orbit at t={ts[i]} has codimension {codim}",
             codimension=codim,
@@ -490,17 +453,18 @@ def orbit_frame(spec: ActionSpec, t: float) -> OrbitFrame:
 
     The tangent space is the span of { Ad(g(t))^{-1} h_i } together with
     the basis of k; the normal space is its complement in the ambient
-    algebra.  Both bases and the lifts, which solve Ad^{-1} X - Y = u up
-    to ``lift_residual``, come from the frame kernel at one parameter.
+    algebra, with the unit section generator first.  Both bases and the
+    lifts, which solve Ad^{-1} X - Y = u up to ``lift_residual``, come from
+    the frame kernel.
     """
-    vt, dim, lifts, residual = _frames(spec, np.array([t], dtype=float))
-    tangent = Subspace(_from_rows(vt[0, :dim] @ spec.ambient_rows), dim)
-    normal = Subspace(_from_rows(vt[0, dim:] @ spec.ambient_rows), len(vt[0]) - dim)
-    return OrbitFrame(t, tangent, normal, vt[0, :dim], lifts[0], float(residual[0]))
+    rows, dim, lifts, residual = _frames(spec, t)
+    basis = _from_rows(rows @ spec.ambient_rows)
+    tangent, normal = Subspace(basis[:dim], dim), Subspace(basis[dim:], len(rows) - dim)
+    return OrbitFrame(t, tangent, normal, rows[:dim], lifts, residual)
 
 
 def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> np.ndarray:
-    """The unit normal at g(t), oriented along the section generator.
+    """The unit normal at g(t): the unit section generator xi.
 
     Only defined at principal parameters (orbit codimension one); at a
     singular parameter a :class:`SingularOrbitError` carries the actual
@@ -514,10 +478,7 @@ def unit_normal(spec: ActionSpec, t: float, frame: OrbitFrame | None = None) -> 
             f"{frame.normal.dim}",
             codimension=frame.normal.dim,
         )
-    n = frame.normal.basis[0]
-    if inner_g(n, spec.section_generator) < 0:
-        n = -n
-    return n
+    return frame.normal.basis[0]
 
 
 def shape_operator(
@@ -586,8 +547,8 @@ def _shape_blocks(spec: ActionSpec, ts: np.ndarray):
     only the checks that measure rounding: the lift residual and the
     symmetry defect (else :class:`ArithmeticError`).  At 1.01 SINGULAR_GUARD
     on either side of a singular parameter, the largest lift residual per
-    type is 1.2e-10 (II) to 2.9e-10 (IV), against 1.6e-10 to 2.7e-10 from
-    the SVD frames of :func:`_frames`, so the 1e-9 bound holds with a factor
+    type is 1.2e-10 (II) to 2.9e-10 (IV), against 1.4e-10 to 3.0e-10 from
+    the SVD of A in :func:`_frames`, so the 1e-9 bound holds with a factor
     of 3.4 to spare; the rank certificate clears its threshold there by a
     factor of 159 (IV) to 389 (III).
     """
@@ -684,8 +645,8 @@ def verify_reflection(spec: ActionSpec) -> bool:
        into h, and Ad(b^-1) maps k or h into k;
     4. dphi maps the ambient algebra into itself; on identity-translated
        vectors it is Ad(b^-1) (eps = 1) or -Ad(b^-1 x0) (eps = -1);
-    5. dphi sends the unit normal xi to -xi and the tangent space at x0
-       into xi^perp.
+    5. dphi sends the unit normal xi to -xi and the tangent space at x0,
+       the spec's principal tangent rows [K; W], into xi^perp.
     """
     if spec.reflection is None:
         raise ValueError(
@@ -693,7 +654,6 @@ def verify_reflection(spec: ActionSpec) -> bool:
         )
     a, eps, b = spec.reflection(lambda t: expm(spec.geodesic_generator, t))
     x0 = _geodesic(spec, spec.minimal_t)
-    (vt,), dim, _, _ = _frames(spec, np.array([spec.minimal_t]))
     h_source, k_source = (spec.h, spec.k) if eps == 1 else (spec.k, spec.h)
     c = b.T if eps == 1 else b.T @ x0  # dphi(u) = eps c u c^T
     images = eps * (c @ spec.ambient.basis @ c.T)
@@ -705,6 +665,6 @@ def verify_reflection(spec: ActionSpec) -> bool:
         off_span(b.T @ k_source.basis @ b, spec.k.basis),
         off_span(images, spec.ambient.basis),
         np.abs(spec.unit_section @ moved + spec.unit_section).max(),
-        np.abs(vt[:dim] @ moved @ spec.unit_section).max(),
+        np.abs(spec.tangent_rows @ moved @ spec.unit_section).max(),
     )
     return bool(max(defects) <= REFLECTION_TOL)

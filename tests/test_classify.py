@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import g2orbits
 from g2orbits.actions import action_record
 from g2orbits.classify import (
     CHEB_NODES,
@@ -443,9 +445,6 @@ class TestRootFinding:
             diagnostics = classify_type(ty).root_diagnostics
             assert [name for name, _ in diagnostics] == ["f_H", "f_A"]
             for _, diag in diagnostics:
-                # One series from 16 Chebyshev nodes resolves each, from the
-                # kernel at the 8 of them in (0, pi/2).
-                assert (diag.n, diag.evaluations) == (16, 8)
                 assert diag.tail <= 1e-9 and diag.defect <= 1e-9
                 values = (diag.tail, diag.defect, *diag.coefficients)
                 assert len(diag.coefficients) == 5
@@ -473,9 +472,7 @@ class TestRootFinding:
         assert copy.deepcopy(res) == res
         fields = dataclasses.asdict(res)
         assert fields["root_diagnostics"][0][0] == "f_H"
-        assert set(fields["root_diagnostics"][1][1]) == {
-            "n", "tail", "defect", "evaluations", "coefficients"
-        }
+        assert set(fields["root_diagnostics"][1][1]) == {"tail", "defect", "coefficients"}
 
 
 def _closed_form_roots(ty: str, lam: float) -> list[float]:
@@ -502,6 +499,12 @@ def _closed_form_roots(ty: str, lam: float) -> list[float]:
 
 
 class TestClassification:
+    def test_the_package_attribute_is_the_module(self):
+        # the package exports classify_type but not the function classify,
+        # which would hide the submodule of the same name
+        assert inspect.ismodule(g2orbits.classify)
+        assert g2orbits.classify.classify is classify
+
     def test_singular_dimensions(self):
         assert classify_type("II").singular_dims == (10, 11)
         assert classify_type("IV").singular_dims == (17, 17)

@@ -10,15 +10,17 @@ import scipy.linalg
 from g2orbits import orbits
 from g2orbits.actions import ACTIONS, ActionRecord, action_record
 from g2orbits.classify import classify_type, principal_interval
-from g2orbits.linalg import NotASubspaceError, _to_rows, expm, g_basis, inner_g, v_elem, zeta
+from g2orbits.linalg import (
+    NotASubspaceError, _to_rows, expm, g_basis, inner_g, norm_g, v_elem, zeta,
+)
 from g2orbits.orbits import (
     FRAME_BLOCK,
     ActionSpec,
     SingularOrbitError,
     _frames,
-    _generator_rows,
     _geodesic,
     _principal_lifts,
+    _trig_rows,
     action_spec,
     curvature_invariants,
     is_austere,
@@ -231,10 +233,10 @@ class TestGeneratorRows:
     def test_rows_match_the_conjugation(self, ty):
         spec = action_spec(ty)
         ts = np.linspace(-2 * np.pi, 2 * np.pi, 200)
-        rows, reduced = _generator_rows(spec, ts)
+        rows, reduced = _trig_rows(ts, spec.h_terms, spec.h_terms_w)
         direct = _conjugated_rows(spec, _geodesic(spec, ts))
         assert np.abs(rows - direct).max() <= 2e-15
-        assert np.abs(reduced - direct @ spec.k_perp.T).max() <= 2e-15
+        assert np.abs(reduced - direct @ spec.tangent_rows[spec.k.dim:].T).max() <= 2e-15
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_rows_match_a_40_digit_conjugation(self, ty):
@@ -251,7 +253,7 @@ class TestGeneratorRows:
         exact = np.array(exact)
         direct = _to_rows(exact.reshape(-1, 8, 8)) @ spec.ambient_rows.T
         direct = direct.reshape(len(ts), spec.h.dim, -1)
-        assert np.abs(_generator_rows(spec, np.array(ts))[0] - direct).max() <= 1e-15
+        assert np.abs(_trig_rows(np.array(ts), spec.h_terms)[0] - direct).max() <= 1e-15
 
     def test_replaced_generator_rebuilds_the_rows(self):
         # the coefficients are derived from the spec's own X, so a replaced
@@ -259,19 +261,18 @@ class TestGeneratorRows:
         iii = action_spec("III")
         spec = dataclasses.replace(iii, geodesic=ACTIONS["V"].geodesic)
         ts = np.linspace(0.2, 1.3, 5)
-        rows = _generator_rows(spec, ts)[0]
+        [rows] = _trig_rows(ts, spec.h_terms)
         direct = _conjugated_rows(spec, _geodesic(spec, ts))
         assert np.abs(rows - direct).max() <= 2e-15
-        assert np.abs(rows - _generator_rows(iii, ts)[0]).max() > 0.1
-        vt, dim, _, _ = _frames(spec, ts)
-        tangent = vt[:, :dim]
-        # every row of Ad(g(t))^-1 h (V's g) lies in the tangent space, and
-        # the rank is that of [H; K]
-        spanned = direct @ np.swapaxes(tangent, 1, 2) @ tangent
-        assert np.abs(direct - spanned).max() < 1e-12
-        k_rows = np.broadcast_to(spec.k_coords, (len(ts),) + spec.k_coords.shape)
-        full = np.concatenate([direct, k_rows], axis=1)
-        assert [np.linalg.matrix_rank(r, tol=1e-9) for r in full] == [dim] * 5
+        assert np.abs(rows - _trig_rows(ts, iii.h_terms)[0]).max() > 0.1
+        for t, h_rows in zip(ts, direct):
+            frame_rows, dim, _, _ = _frames(spec, t)
+            tangent = frame_rows[:dim]
+            # every row of Ad(g(t))^-1 h (V's g) lies in the tangent space,
+            # and the rank is that of [H; K]
+            assert np.abs(h_rows - h_rows @ tangent.T @ tangent).max() < 1e-12
+            full = np.concatenate([h_rows, spec.k_coords])
+            assert np.linalg.matrix_rank(full, tol=1e-9) == dim
 
 
 class TestOrbitDimensions:
@@ -307,6 +308,22 @@ class TestUnitNormal:
         with pytest.raises(SingularOrbitError) as err:
             unit_normal(action_spec("II"), 0.0)
         assert err.value.codimension == 4
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_xi_is_the_first_normal_of_every_frame(self, ty):
+        # The normal rows start with xi at every t, so the unit normal needs
+        # no orientation and xi is a normal of each singular orbit too.
+        spec = action_spec(ty)
+        section = v_elem(4, *spec.section)
+        xi = section / norm_g(section)
+        for t in np.linspace(*principal_interval(spec), 7)[1:-1]:
+            assert np.abs(orbit_frame(spec, t).normal.basis[0] - xi).max() <= 1e-15
+            assert np.abs(unit_normal(spec, t) - xi).max() <= 1e-15
+        for t in spec.singular_ts:
+            frame = orbit_frame(spec, t)
+            assert frame.normal.dim > 1
+            assert np.abs(frame.normal.basis[0] - xi).max() <= 1e-15
+            shape_operator(spec, t, xi, frame=frame)  # ValueError if xi is not normal
 
 
 class TestShapeOperator:
@@ -513,18 +530,19 @@ class TestFrameKernel:
             assert np.all(relative <= 0.5 * np.finfo(float).eps / ts)
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
-    def test_svd_runs_on_h_off_k_and_k_rows_are_exact(self, ty, monkeypatch):
+    def test_one_svd_of_a_per_singular_t_and_k_rows_are_exact(self, ty, monkeypatch):
         # The SVD kernel runs where an orbit may be singular (here for the
-        # spec's singular codimensions), on the rows of Ad(g)^-1 h off k
-        # only.  A classification and a principal report take no SVD: their
-        # tangent rows are the spec's fixed [K; W], and the K rows lift to -K.
+        # spec's singular codimensions), on the coordinates A of the rows of
+        # Ad(g)^-1 h in W only.  A classification and a principal report
+        # take no SVD: their tangent rows are the spec's fixed [K; W], and
+        # the K rows lift to -K.
         spec = action_spec(ty)
         q, d = spec.k.dim, spec.ambient.dim
         stacks = spy(monkeypatch, orbits, "ranked_svd", lambda rows, **kwargs: rows.shape)
         blocks = spy(monkeypatch, orbits, "_principal_lifts", lambda spec, ts: ts)
         tangents = spy(monkeypatch, orbits, "_shapes", lambda tangent_ad, lifts, ts: tangent_ad)
         dataclasses.replace(spec)
-        assert stacks == [(1, spec.h.dim, d - q)] * len(spec.singular_ts)
+        assert stacks == [(spec.h.dim, d - q - 1)] * len(spec.singular_ts)
         stacks.clear()
         classify_type.cache_clear()
         try:
@@ -557,11 +575,10 @@ class TestFrameKernel:
         ts = np.concatenate([rng.uniform(*principal_interval(spec), size=40), *ends])
         principal = np.concatenate([shapes for _, shapes in orbits._shape_blocks(spec, ts)])
         general = []
-        for start in range(0, len(ts), FRAME_BLOCK):
-            block = ts[start:start + FRAME_BLOCK]
-            vt, dim, lifts, _ = _frames(spec, block)
+        for t in ts:
+            rows, dim, lifts, _ = _frames(spec, t)
             assert dim == spec.ambient.dim - 1
-            general.append(orbits._shapes(vt[:, :dim] @ spec.ad_section, lifts, block))
+            general.append(orbits._shapes(rows[None, :dim] @ spec.ad_section, lifts[None], [t]))
         general = np.concatenate(general)
         norm_sq = np.sum(general * general, axis=(1, 2))
         assert np.all(np.abs(np.sum(principal * principal, axis=(1, 2)) - norm_sq) <= 1e-12 * norm_sq)
