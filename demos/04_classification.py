@@ -25,7 +25,8 @@ for ty in ("II", "III", "IV", "V"):
           f"  [delta {abs(res.minimal_t - res.closed_form_minimal_t):.1e}]")
     print(f"    austere             {res.minimal_austere}")
     if ty in ("III", "IV"):
-        print(f"    weakly reflective   {verify_reflection(spec)} (explicit isometry verified)")
+        print(f"    weakly reflective   {verify_reflection(spec)}"
+              " (isometry x -> g(pi) sigma x sigma, certified by the spec)")
     for bt, ref in zip(res.biharmonic_t, res.closed_form_biharmonic_t):
         print(f"  proper biharmonic     t = {bt:.12f}  [delta {abs(bt - ref):.1e}]")
     for note in res.discrepancy_notes:

@@ -7,10 +7,9 @@ section generators; the parameter range, its singular ends and the section
 ratio t = ratio * s), the constant lambda of the biharmonic equation
 |A|^2 = lambda, closed forms in t of the principal curvatures (the only
 closed form of the shape operator: H and |A|^2 are its first and second
-moments), the austere verdict of the minimal orbit, the orbit-reversing
-isometry x -> a x^eps b of types III and IV as the data (a, eps, b) that
-:func:`g2orbits.orbits.verify_reflection` certifies, and the note on the
-tan^2 reading of the type V biharmonic parameters.
+moments), the austere verdict of the minimal orbit and the note on the
+tan^2 reading of the type V biharmonic parameters.  No record holds an
+isometry (see :func:`g2orbits.orbits.verify_reflection`).
 :class:`g2orbits.orbits.ActionSpec` takes exactly these fields and derives
 everything else from them: the subalgebras and generators, the codimensions
 of the singular orbits, and the minimal and biharmonic parameters.
@@ -22,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .triality import SIGMA
 
 _R6 = np.sqrt(6.0)
 _R2 = np.sqrt(2.0)
@@ -82,8 +79,6 @@ class ActionRecord:
     singular_ts: tuple[float, ...]
     spectrum: Callable[[float], list[tuple[float, int]]]  # (value, multiplicity)
     austere: bool  # verdict at the minimal orbit
-    # (t -> g(t)) -> (a, eps, b) of the isometry x -> a x^eps b
-    reflection: Callable[[Callable], tuple[np.ndarray, int, np.ndarray]] | None = None
     note: Callable[[tuple[float, ...]], str] | None = None  # biharmonic t -> note
 
 
@@ -103,7 +98,6 @@ ACTIONS = {
             t_range=(0.0, _HALF_PI), section_ratio=1.5, singular_ts=(0.0,),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t), 6),
             austere=True,
-            reflection=lambda g: (g(np.pi), -1, np.eye(8)),
         ),
         ActionRecord(
             action_type="IV", ambient_name="so7", h_name="so3_so4", k_name="g2",
@@ -111,7 +105,6 @@ ACTIONS = {
             t_range=(0.0, np.pi), section_ratio=3.0, singular_ts=(0.0, np.pi),
             spectrum=lambda t: [(0.0, 8)] + _pair(_cot(t / 2), 3) + _pair(-np.tan(t / 2), 3),
             austere=True,
-            reflection=lambda g: (g(_HALF_PI) @ SIGMA @ g(-_HALF_PI), 1, SIGMA),
         ),
         ActionRecord(
             action_type="V", ambient_name="so7", h_name="u3", k_name="g2",

@@ -5,8 +5,8 @@ vectors, the seven 3-parameter V-elements V_i(lambda, mu, nu) whose
 traceless members span the derivation algebra g2 (their G terms are derived
 from the octonion sign and index tables), the matrix bracket, the invariant
 inner product <X, Y> = -tr(XY)/2, a matrix exponential at one parameter
-(for Spin(7) lifts, the reflection isometries, demos and tests; orbit
-frames use a closed form), orthonormal bases of spans from LAPACK's
+(for Spin(7) lifts, demos and tests; the orbit engine never forms g(t)),
+orthonormal bases of spans from LAPACK's
 singular value decomposition (the numerical rank counts the singular values
 above 1e-9 times the largest one), the
 distance of matrices off an orthonormal span (:func:`off_span`), orthogonal
@@ -211,7 +211,7 @@ def complement(sub: Subspace, ambient: Subspace) -> Subspace:
     1e-9 (:func:`off_span`), and ArithmeticError when C has rank below ``sub.dim``.
     """
     worst = off_span(sub.basis, ambient.basis)
-    if worst > 1e-9:
+    if not worst <= 1e-9:
         raise NotASubspaceError(
             f"claimed subspace leaves the ambient space (residual {worst:.3e})"
         )
@@ -235,7 +235,7 @@ def sym_eigen(s: np.ndarray, cluster_tol: float = 1e-6) -> list[tuple[float, int
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = float(np.abs(a - a.T).max(initial=0.0))
-    if defect > 1e-9:
+    if not defect <= 1e-9:
         raise ValueError(f"matrix is not symmetric (defect {defect:.3e})")
     values = np.linalg.eigvalsh(0.5 * (a + a.T))
     n = len(values)

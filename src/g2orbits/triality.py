@@ -212,7 +212,7 @@ def spin_lift_exp(x: np.ndarray, t: float) -> SpinElement:
     alpha, i.e. not in so(7).
     """
     defect = float(np.abs(alpha(x) - x).max())
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValueError(f"generator is not in so(7) (alpha defect {defect:.3e})")
     return SpinElement(expm(x, t), expm(gamma(x), t))
 
@@ -221,7 +221,7 @@ def is_automorphism(g: np.ndarray, tol: float = 1e-9) -> bool:
     """True when g preserves the octonion product on all basis pairs."""
     g = np.asarray(g, dtype=float)
     ortho_defect = float(np.abs(g.T @ g - np.eye(8)).max())
-    if ortho_defect > tol:
+    if not ortho_defect <= tol:
         raise ValueError(f"matrix is not orthogonal (defect {ortho_defect:.3e})")
     lhs = np.einsum("abk,ai,bj->ijk", MUL_TENSOR, g, g)
     rhs = np.transpose(g[:, INDEX], (1, 2, 0)) * SIGN[:, :, None]

@@ -185,11 +185,10 @@ class TestRootFinding:
         # curvature_invariants as one array call of one block, then one
         # block for the minimal spectrum and the |H| filter; the orbit
         # dimensions at the window ends come from the spec.  The kernel takes
-        # its rows from the spec's coefficients, so g(t) is never formed.
+        # its rows from the spec's coefficients: no code forms g(t).
         orbits = importlib.import_module("g2orbits.orbits")
         module = importlib.import_module("g2orbits.classify")
         frames = spy(monkeypatch, orbits, "_principal_lifts", lambda spec, ts: len(ts))
-        geodesics = spy(monkeypatch, orbits, "_geodesic")
         grids, invariants = [], module.curvature_invariants
 
         def counted_invariants(spec, t):
@@ -206,7 +205,6 @@ class TestRootFinding:
             roots = len(classify_type(ty).biharmonic_t)
             assert frames == [8, 1 + roots], (ty, frames)
             assert grids == [((8,), [8])], (ty, grids)
-            assert geodesics == [], ty
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_one_pass_over_both_functions_equals_each_alone(self, ty):

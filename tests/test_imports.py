@@ -26,6 +26,7 @@ READERS = ("src", "tests", "demos", "perfbench")
 #: The marked imports under src/: binding sites kept only because
 #: perfbench's tracer self-test wraps them (ROADMAP item 2(a) frees them).
 TRACER_BINDING_SITES = {
+    "orbits.expm",
     "orbits.orthonormalize",
     "classify.mean_curvature",
     "classify.orbit_frame",

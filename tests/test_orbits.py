@@ -1,4 +1,4 @@
-"""Orbit frames, shape operators, spectra and the reflection isometries."""
+"""Orbit frames, shape operators, spectra, the reflection isometry and non-finite input."""
 
 import dataclasses
 import tracemalloc
@@ -11,14 +11,14 @@ from g2orbits import orbits
 from g2orbits.actions import ACTIONS, ActionRecord, action_record
 from g2orbits.classify import classify_type, principal_interval
 from g2orbits.linalg import (
-    NotASubspaceError, _to_rows, expm, g_basis, inner_g, norm_g, v_elem, zeta,
+    NotASubspaceError, Subspace, _to_rows, complement, expm, g_basis, inner_g, norm_g, off_span,
+    sym_eigen, v_elem, zeta,
 )
 from g2orbits.orbits import (
     FRAME_BLOCK,
     ActionSpec,
     SingularOrbitError,
     _frames,
-    _geodesic,
     _principal_lifts,
     _trig_rows,
     action_spec,
@@ -33,9 +33,9 @@ from g2orbits.orbits import (
     unit_normal,
     verify_reflection,
 )
-from g2orbits.triality import SIGMA, named_subalgebra
+from g2orbits.triality import SIGMA, is_automorphism, named_subalgebra, spin_lift_exp
 
-from util import lift_generators, replaced, shape_oracle, spectrum_moments, spy
+from util import geodesic, lift_generators, replaced, shape_oracle, spectrum_moments, spy
 
 ALL_TYPES = ("II", "III", "IV", "V")
 
@@ -186,7 +186,7 @@ class TestGeodesic:
         # every parameter range and the isometries' g(pi), g(+-pi/2); past
         # |t| = pi scipy's own error grows (6e-14 at 2 pi)
         ts = np.concatenate([np.linspace(-np.pi, np.pi, 61), np.arange(-2, 3) * np.pi / 2])
-        for t, g_t in zip(ts, _geodesic(spec, ts)):
+        for t, g_t in zip(ts, geodesic(spec, ts)):
             assert np.abs(g_t - expm(x, t)).max() < 1e-14
             assert np.abs(g_t - scipy.linalg.expm(t * x)).max() < 1e-14
 
@@ -195,7 +195,7 @@ class TestGeodesic:
         x = action_spec("V").geodesic_generator
         spec = dataclasses.replace(action_spec("III"), geodesic=ACTIONS["V"].geodesic)
         for t in (0.3, 1.0, 2.0):
-            assert np.abs(_geodesic(spec, t) - expm(x, t)).max() < 1e-14
+            assert np.abs(geodesic(spec, t) - expm(x, t)).max() < 1e-14
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_closed_form_matches_a_40_digit_exponential(self, ty):
@@ -205,13 +205,13 @@ class TestGeodesic:
         with mpmath.workdps(40):
             for t in (0.3, 1.1, 2.0, -2.5, 5.9):
                 exact = np.array(mpmath.expm(mpmath.mpf(t) * x).tolist(), dtype=float)
-                assert np.abs(_geodesic(spec, t) - exact).max() < 1e-15
+                assert np.abs(geodesic(spec, t) - exact).max() < 1e-15
 
     @pytest.mark.parametrize("ty", ALL_TYPES)
     def test_closed_form_is_orthogonal(self, ty):
         ts = np.linspace(-2 * np.pi, 2 * np.pi, 201)
         ts = np.concatenate([ts, np.arange(-4, 5) * np.pi / 2])
-        g = _geodesic(action_spec(ty), ts)
+        g = geodesic(action_spec(ty), ts)
         assert np.abs(g @ np.swapaxes(g, 1, 2) - np.eye(8)).max() < 1e-14
 
     def test_generator_breaking_the_cube_identity_is_refused(self, monkeypatch):
@@ -234,7 +234,7 @@ class TestGeneratorRows:
         spec = action_spec(ty)
         ts = np.linspace(-2 * np.pi, 2 * np.pi, 200)
         rows, reduced = _trig_rows(ts, spec.h_terms, spec.h_terms_w)
-        direct = _conjugated_rows(spec, _geodesic(spec, ts))
+        direct = _conjugated_rows(spec, geodesic(spec, ts))
         assert np.abs(rows - direct).max() <= 2e-15
         assert np.abs(reduced - direct @ spec.tangent_rows[spec.k.dim:].T).max() <= 2e-15
 
@@ -262,7 +262,7 @@ class TestGeneratorRows:
         spec = dataclasses.replace(iii, geodesic=ACTIONS["V"].geodesic)
         ts = np.linspace(0.2, 1.3, 5)
         [rows] = _trig_rows(ts, spec.h_terms)
-        direct = _conjugated_rows(spec, _geodesic(spec, ts))
+        direct = _conjugated_rows(spec, geodesic(spec, ts))
         assert np.abs(rows - direct).max() <= 2e-15
         assert np.abs(rows - _trig_rows(ts, iii.h_terms)[0]).max() > 0.1
         for t, h_rows in zip(ts, direct):
@@ -336,7 +336,7 @@ class TestShapeOperator:
             t = rng.uniform(lo + 0.15, hi - 0.15)
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            raw = shape_oracle(spec, _geodesic(spec, t), frame.tangent.basis, n)
+            raw = shape_oracle(spec, geodesic(spec, t), frame.tangent.basis, n)
             assert np.abs(raw - raw.T).max() < 1e-9
 
     def test_rejects_bad_normal(self):
@@ -364,7 +364,7 @@ class TestShapeOperator:
             n = unit_normal(spec, t, frame=frame)
             base = shape_operator(spec, t, n, frame=frame)
 
-            gens = lift_generators(spec, _geodesic(spec, t))
+            gens = lift_generators(spec, geodesic(spec, t))
             columns = gens.reshape(len(gens), -1).T
             _, sv, vt = np.linalg.svd(columns, full_matrices=True)
             null = vt[np.sum(sv > 1e-9 * sv[0]):]
@@ -375,7 +375,7 @@ class TestShapeOperator:
                 columns, vectors.reshape(len(vectors), -1).T, rcond=None
             )
             coeffs += null.T @ rng.normal(size=(len(null), len(vectors)))
-            perturbed = shape_oracle(spec, _geodesic(spec, t), vectors, n, coeffs=coeffs)
+            perturbed = shape_oracle(spec, geodesic(spec, t), vectors, n, coeffs=coeffs)
             assert np.abs(perturbed - base).max() < 1e-9
 
     def test_frame_independence(self, rng):
@@ -390,7 +390,7 @@ class TestShapeOperator:
         m = frame.tangent.dim
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         rotated = np.einsum("ij,jab->iab", q, frame.tangent.basis)
-        rotated_shape = shape_oracle(spec, _geodesic(spec, t), rotated, n)
+        rotated_shape = shape_oracle(spec, geodesic(spec, t), rotated, n)
         ours = np.sort(np.linalg.eigvalsh(0.5 * (rotated_shape + rotated_shape.T)))
         ref = np.sort(np.linalg.eigvalsh(base))
         assert np.abs(ours - ref).max() < 1e-9
@@ -493,7 +493,7 @@ class TestFrameKernel:
         for t, mean, norm in zip(ts, means, norms):
             frame = orbit_frame(spec, t)
             n = unit_normal(spec, t, frame=frame)
-            raw = shape_oracle(spec, _geodesic(spec, t), frame.tangent.basis, n)
+            raw = shape_oracle(spec, geodesic(spec, t), frame.tangent.basis, n)
             s = 0.5 * (raw + raw.T)
             for value, scalar, oracle in [
                 (mean, mean_curvature(spec, float(t)), np.trace(s)),
@@ -714,6 +714,27 @@ class TestAustereTest:
         assert not is_austere([(-1.0, 1), (2.0, 1)])
 
 
+def reflection_defects(spec, a, b, t):
+    """The seven defects of x -> a x b as an isometry that reflects the orbit
+    through x0 = g(t), from the 8x8 matrices alone: a and b are orthogonal;
+    a x0 b = x0; Ad(a) maps h and Ad(b^-1) maps k into themselves, so the
+    map permutes the orbits; its differential Ad(b^-1) on identity-translated
+    vectors maps the ambient algebra into itself, sends xi to -xi and the
+    spec's principal tangent rows [K; W] into xi^perp."""
+    x0 = geodesic(spec, t)
+    images = b.T @ spec.ambient.basis @ b
+    moved = _to_rows(images) @ spec.ambient_rows.T  # rows: Ad(b^-1) e_a
+    return (
+        np.abs(np.stack([a @ a.T, b @ b.T]) - np.eye(8)).max(),
+        np.abs(a @ x0 @ b - x0).max(),
+        off_span(a @ spec.h.basis @ a.T, spec.h.basis),
+        off_span(b.T @ spec.k.basis @ b, spec.k.basis),
+        off_span(images, spec.ambient.basis),
+        np.abs(spec.unit_section @ moved + spec.unit_section).max(),
+        np.abs(spec.tangent_rows @ moved @ spec.unit_section).max(),
+    )
+
+
 class TestReflections:
     def test_type_iii(self):
         assert verify_reflection(action_spec("III"))
@@ -723,25 +744,36 @@ class TestReflections:
 
     def test_unsupported_types(self):
         for ty in ("II", "V"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"orbit through g\(pi/2\) has codimension"):
                 verify_reflection(action_spec(ty))
 
+    def test_a_moved_minimal_parameter_is_not_the_reflected_orbit(self, monkeypatch):
+        assert not verify_reflection(replaced(monkeypatch, action_spec("III"), minimal_t=1.0))
+
+    @pytest.mark.parametrize("ty", ALL_TYPES)
+    def test_phi_reflects_the_orbit_through_g_half_pi(self, ty):
+        # x -> g(pi) sigma x sigma, the isometry verify_reflection reads off
+        # the spec's certificates, checked on the 8x8 matrices at the one
+        # orbit it fixes (a singular one for II and V)
+        spec = action_spec(ty)
+        g_pi = geodesic(spec, np.pi)
+        assert max(reflection_defects(spec, g_pi @ SIGMA, SIGMA, np.pi / 2)) <= 1e-12
+
     @pytest.mark.parametrize(
-        "ty, changes",
+        "ty, isometry, t",
         [
-            # b = I leaves g(pi/2) unfixed and keeps the normal
-            ("IV", {"reflection": lambda g: (g(np.pi / 2) @ SIGMA @ g(-np.pi / 2), 1, np.eye(8))}),
-            # x -> g(pi) x^-1 fixes g(pi/2), not g(1)
-            ("III", {"minimal_t": 1.0}),
-            # fixes g(t_min), but inversion swaps H and K and su3 is not in so4
-            ("II", {"reflection": lambda g: (g(2 * action_spec("II").minimal_t), -1, np.eye(8))}),
+            # without the right-hand sigma, xi is kept (and g(pi/2) moves)
+            ("IV", lambda g_pi: (g_pi @ SIGMA, np.eye(8)), np.pi / 2),
+            # phi maps g(1) onto g(pi - 1)
+            ("III", lambda g_pi: (g_pi @ SIGMA, SIGMA), 1.0),
             # x -> sigma x sigma does not fix g(pi/2)
-            ("IV", {"reflection": lambda g: (SIGMA, 1, SIGMA)}),
+            ("IV", lambda g_pi: (SIGMA, SIGMA), np.pi / 2),
         ],
-        ids=["iv_without_sigma", "iii_moved_base_point", "ii_inversion", "iv_sigma_conjugation"],
+        ids=["iv_without_sigma", "iii_moved_base_point", "iv_sigma_conjugation"],
     )
-    def test_a_wrong_isometry_fails(self, ty, changes, monkeypatch):
-        assert not verify_reflection(replaced(monkeypatch, action_spec(ty), **changes))
+    def test_a_wrong_isometry_fails(self, ty, isometry, t):
+        spec = action_spec(ty)
+        assert max(reflection_defects(spec, *isometry(geodesic(spec, np.pi)), t)) >= 1.0
 
 
 class TestOrbitSpaceIsometries:
@@ -803,3 +835,45 @@ class TestSingularOrbits:
             for n in frame.normal.basis
         )
         assert worst > 1e-3
+
+
+class TestNonFiniteInput:
+    # LinAlgError is a ValueError too, so each message is matched: a nan or
+    # an inf that reaches LAPACK would raise the wrong one.
+    @pytest.mark.parametrize(
+        "kernel",
+        [spectrum_report, curvature_invariants, mean_curvature, shape_norm_sq, orbit_frame,
+         lambda spec, t: spectrum_reports(spec, [1.0, t])],
+        ids=["spectrum_report", "curvature_invariants", "mean_curvature", "shape_norm_sq",
+             "orbit_frame", "spectrum_reports"],
+    )
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_kernels_refuse_a_non_finite_parameter(self, kernel, t):
+        with pytest.raises(ValueError, match=rf"^parameter t={t} is not finite$"):
+            kernel(action_spec("IV"), t)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: shape_operator(action_spec("III"), 0.8, np.full((8, 8), np.nan)),
+             r"^normal vector is not unit length$"),
+            (lambda: sym_eigen(np.diag([1.0, np.nan, 2.0])),
+             r"^matrix is not symmetric \(defect nan\)$"),
+            (lambda: spin_lift_exp(np.full((8, 8), np.nan), 1.0),
+             r"^generator is not in so\(7\) \(alpha defect nan\)$"),
+            (lambda: is_automorphism(np.full((8, 8), np.nan)),
+             r"^matrix is not orthogonal \(defect nan\)$"),
+            (lambda: complement(Subspace(np.full((1, 8, 8), np.nan), 1), named_subalgebra("g2")),
+             r"^claimed subspace leaves the ambient space \(residual nan\)$"),
+            (lambda: dataclasses.replace(action_spec("V"), geodesic=(np.nan, 0, 1)),
+             r"^type V: geodesic X\^3 = -X fails \(defect nan\)$"),
+            (lambda: dataclasses.replace(action_spec("V"), section=(np.nan, 1, 1)),
+             r"^type V: the section generator is not normal to the orbits: "
+             r"max \|<xi, k_i>\| \(defect nan\)$"),
+        ],
+        ids=["shape_operator", "sym_eigen", "spin_lift_exp", "is_automorphism", "complement",
+             "geodesic", "section"],
+    )
+    def test_a_nan_fails_its_defect_check(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -19,6 +19,15 @@ MEAN_CURVATURE = {
 }
 
 
+def geodesic(spec, t):
+    """g(t) = exp(tX) = I + sin t X + 2 sin^2(t/2) X^2 at each entry of ``t``,
+    from the spec's generator X (X^3 = -X): the engine never forms g(t), so
+    this closed form is the tests' oracle of the geodesic."""
+    ts = np.asarray(t, dtype=float)[..., None, None]
+    x = spec.geodesic_generator
+    return np.eye(8) + np.sin(ts) * x + 2 * np.sin(ts / 2) ** 2 * (x @ x)
+
+
 def spectrum_moments(record, t):
     """H and |A|^2 from the closed-form spectrum of ``record``: its first and
     second moments sum m v and sum m v^2, at t or at each entry of an array."""
